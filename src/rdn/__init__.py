@@ -12,6 +12,11 @@ exponential map, distance, random points), ``objectives`` (the two shipped
 objective families as vector-field problems), ``solver`` (the damped and
 full-step iterations with tracing), ``bench`` and ``cli`` (the seeded
 benchmark harness behind the ``rdn-bench`` command).
+
+The shipped fields are spectral functions of P, so ``GradientField`` runs the
+solver on spectral points and SpectralTangents (``manifold``): O(n) per
+step after the start's eigendecomposition, handing over to the dense route
+where that route's outcome depends on rounding or overflow.
 """
 
 from .errors import (
@@ -26,7 +31,7 @@ from .errors import (
     StepOverflow,
 )
 from .linalg import EigenPair, assert_spd, lyapunov_solve, mat_func, sym_eigen, symmetrize
-from .manifold import SpdPoint, distance, exp_map, inner, norm, random_spd
+from .manifold import SpdPoint, SpectralTangent, distance, exp_map, inner, norm, random_spd
 from .objectives import (
     Family,
     GradientField,

@@ -62,10 +62,14 @@ class ExperimentSpec:
     init_eig_range: tuple[float, float] = (1.0, 10.0)
 
     def __post_init__(self):
-        if not self.ratio > 0.0:
-            raise ValueError(f"ratio must be positive, got {self.ratio}")
+        if not 0.0 < self.ratio < float("inf"):
+            raise ValueError(f"ratio must be finite and positive, got {self.ratio}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
+        low, high = self.init_eig_range
+        if not 0.0 < low <= high < float("inf"):
+            raise ValueError(f"init range needs 0 < LOW <= HIGH < inf, got {low},{high}")
+        self.config()  # validates sigma, grad_tol and max_iters
 
     def objective(self) -> Objective:
         return Objective(self.family, a=1.0, b=self.ratio)
@@ -115,9 +119,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
 
 def _worker_count() -> int:
+    """Threads ``run_grid`` uses by default: RDN_THREADS, else the CPU count."""
     env = os.environ.get("RDN_THREADS", "").strip()
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"RDN_THREADS must be an integer, got {env!r}") from None
     return max(1, os.cpu_count() or 1)
 
 

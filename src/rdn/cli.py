@@ -10,7 +10,8 @@ Full grid (both families, ratios 0.1/1.0/1.5 and 0.001/0.002/0.01, dims
 
     rdn-bench --table1 --max-dim 100 --seed 42 --out table1.csv
 
-Exit code is 0 iff every requested run converged.  The CSV keeps its
+Exit code is 0 iff every requested run converged; invalid arguments (and a
+non-integer RDN_THREADS) exit with 2 and a usage message.  The CSV keeps its
 wall-clock column at 0.0 unless --wall-times is given, so identical
 invocations produce byte-identical files; measured times are always printed
 in the per-run summary.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import ExperimentSpec, emit_csv, emit_trace, run_grid, table1_grid
+from .bench import ExperimentSpec, _worker_count, emit_csv, emit_trace, run_grid, table1_grid
 from .objectives import Family
 from .solver import Method, Status
 
@@ -77,18 +78,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.table1:
-        if args.trace:
-            parser.error("--trace requires a single run, not --table1")
-        specs = table1_grid(
-            args.seed,
-            max_dim=args.max_dim,
-            sigma=args.sigma,
-            grad_tol=args.tol,
-            max_iters=args.max_iters,
-            init_eig_range=args.init_range,
-        )
-    else:
+    if args.table1 and args.trace:
+        parser.error("--trace requires a single run, not --table1")
+    if not args.table1:
         missing = [
             name
             for name, value in (
@@ -101,21 +93,36 @@ def main(argv: list[str] | None = None) -> int:
         ]
         if missing:
             parser.error(f"{' '.join(missing)} required (or use --table1)")
-        specs = [
-            ExperimentSpec(
-                family=Family(args.family),
-                ratio=args.ratio,
-                dim=args.dim,
-                method=Method(args.method),
-                seed=args.seed,
+    # Specs validate their values; a bad one is a usage error, not a failed run.
+    try:
+        workers = _worker_count()
+        if args.table1:
+            specs = table1_grid(
+                args.seed,
+                max_dim=args.max_dim,
                 sigma=args.sigma,
                 grad_tol=args.tol,
                 max_iters=args.max_iters,
                 init_eig_range=args.init_range,
             )
-        ]
+        else:
+            specs = [
+                ExperimentSpec(
+                    family=Family(args.family),
+                    ratio=args.ratio,
+                    dim=args.dim,
+                    method=Method(args.method),
+                    seed=args.seed,
+                    sigma=args.sigma,
+                    grad_tol=args.tol,
+                    max_iters=args.max_iters,
+                    init_eig_range=args.init_range,
+                )
+            ]
+    except ValueError as err:
+        parser.error(str(err))
 
-    results = run_grid(specs)
+    results = run_grid(specs, max_workers=workers)
 
     if not args.quiet:
         for r in results:

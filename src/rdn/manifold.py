@@ -14,6 +14,21 @@ projection is ever needed.  Geodesic distance is ||log(A^{-1/2} B A^{-1/2})||_F.
 Points are immutable and carry a lazily computed eigendecomposition that is
 reused by every operation needing P^{1/2}, P^{-1/2} or P^{-1}; a solver
 iteration therefore pays for a single factorization per point.
+
+Spectral seam.  A point may instead be held in spectral form, a frame
+(values, basis) with P = basis diag(values) basis^T, and a tangent that
+commutes with it as a SpectralTangent, the coefficients of V in the same
+basis.  Along such tangents the metric, the norm and the exponential map are
+O(n) functions of the eigenvalues (Higham, Functions of Matrices, ch. 1):
+
+    ||V||_P = ||c / lambda||,   exp_P(t V) = basis diag(lambda e^{t c / lambda}) basis^T,
+
+so every iterate keeps the start's eigenbasis and no factorization is paid
+after the start's.  Plain ndarray tangents take the dense route unchanged.
+Where the dense route's outcome is decided by rounding noise or by where its
+intermediates overflow (spreads lambda_min / lambda_max below 1e-13, or
+eigenvalues and coefficients beyond 1e100), ``needs_dense`` tells the solver
+to continue on the dense route from a materialized point.
 """
 
 from __future__ import annotations
@@ -32,6 +47,7 @@ from .linalg import EigenPair, mat_func, sym_eigen, symmetrize
 
 __all__ = [
     "SpdPoint",
+    "SpectralTangent",
     "inner",
     "norm",
     "exp_map",
@@ -40,16 +56,41 @@ __all__ = [
 ]
 
 
+# The spectral route stays where the dense route's outcome does not hinge on
+# rounding.  Below a spread lambda_min / lambda_max of _HANDOVER_SPREAD,
+# Cholesky and eigh of the materialized matrix accept or reject it by rounding
+# noise (random n = 100 frames: 2 of 40 accepted at 1e-18, none at 1e-19), and
+# lyapunov_solve's singularity guard fires at a spread of 5e-15.  Outside
+# [1 / _HANDOVER_SCALE, _HANDOVER_SCALE] the dense route's cubes and inverse
+# squares of the eigenvalues leave the normal floating-point range (its
+# Newton right-hand side 2 (lambda^2 - (a/b) lambda^3) overflows at lambda
+# near 5.6e102, where the spectral coefficient lambda - (a/b) lambda^2 does
+# not).  An iteration whose iterate, direction or any finite trial point
+# leaves these bounds runs on the dense route instead (``needs_dense``).
+_HANDOVER_SPREAD = 1e-13
+_HANDOVER_SCALE = 1e100
+# A spectral step below this spread, under the unit roundoff 2^-53, has no
+# positive definite matrix form; exp_map rejects it as unrepresentable.
+_ROUNDING_FLOOR = 1e-17
+
+
+def _spread(values: np.ndarray) -> float:
+    return float(np.min(values) / np.max(values))
+
+
 class SpdPoint:
     """A symmetric positive definite matrix as a point of the cone.
 
     Construction symmetrizes the input and verifies numerical positive
     definiteness (by Cholesky, or directly from a supplied eigendecomposition).
-    The matrix is frozen after construction; the eigen cache is filled
-    idempotently on first use, so points are safe to share between threads.
+    ``from_eigen`` and ``from_frame`` build a point from its spectrum instead,
+    forming the matrix only on first use; ``frame`` is set only on spectral
+    points (``from_frame``, ``to_spectral``).  The matrix is frozen once
+    formed; the caches are filled idempotently on first use, so points are
+    safe to share between threads.
     """
 
-    __slots__ = ("matrix", "_eigen")
+    __slots__ = ("_matrix", "_eigen", "frame")
 
     def __init__(self, matrix: np.ndarray, *, eigen: EigenPair | None = None):
         m = symmetrize(matrix)
@@ -64,24 +105,85 @@ class SpdPoint:
             except np.linalg.LinAlgError as err:
                 raise InvalidPoint("matrix is not numerically positive definite") from err
         m.flags.writeable = False
-        self.matrix = m
+        self._matrix = m
         self._eigen = eigen
+        self.frame: tuple[np.ndarray, np.ndarray] | None = None
+
+    @classmethod
+    def _from_spectrum(cls, values: np.ndarray, eigen: EigenPair | None, frame: tuple | None) -> "SpdPoint":
+        if not (np.all(np.isfinite(values)) and np.min(values) > 0.0):
+            raise InvalidPoint("spectrum is not finite and strictly positive")
+        point = object.__new__(cls)
+        point._matrix = None
+        point._eigen = eigen
+        point.frame = frame
+        return point
+
+    @classmethod
+    def from_eigen(cls, pair: EigenPair) -> "SpdPoint":
+        """Dense point with the factorization ``pair`` (values ascending)."""
+        return cls._from_spectrum(pair.values, pair, None)
+
+    @classmethod
+    def from_frame(cls, values: np.ndarray, basis: np.ndarray) -> "SpdPoint":
+        """Spectral point basis diag(values) basis^T, ``basis`` orthogonal and
+        ``values`` in the order of its columns, finite and strictly positive."""
+        return cls._from_spectrum(values, None, (values, basis))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            values, basis = self.frame or (self._eigen.values, self._eigen.vectors)
+            m = symmetrize((basis * values) @ basis.T)
+            if not np.all(np.isfinite(m)):
+                raise InvalidPoint("matrix has non-finite entries")
+            m.flags.writeable = False
+            self._matrix = m
+        return self._matrix
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        if self.frame is not None:
+            return self.frame[0].shape[0]
+        return self._matrix.shape[0] if self._matrix is not None else self._eigen.dim
 
     @property
     def eigen(self) -> EigenPair:
         """Cached spectral factorization; computed once, reused everywhere."""
         if self._eigen is None:
-            pair = sym_eigen(self.matrix)
-            if float(pair.values[0]) <= 0.0:
-                # Cholesky can accept matrices whose smallest eigenvalues sit
-                # below the rounding floor of the largest; reject them here.
-                raise InvalidPoint("matrix is not numerically positive definite")
-            self._eigen = pair
+            if self.frame is not None:
+                values, basis = self.frame
+                order = np.argsort(values, kind="stable")
+                self._eigen = EigenPair(values=values[order], vectors=basis[:, order])
+            else:
+                pair = sym_eigen(self.matrix)
+                if float(pair.values[0]) <= 0.0:
+                    # Cholesky can accept matrices whose smallest eigenvalues sit
+                    # below the rounding floor of the largest; reject them here.
+                    raise InvalidPoint("matrix is not numerically positive definite")
+                self._eigen = pair
         return self._eigen
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues, in frame order for spectral points."""
+        return self.frame[0] if self.frame is not None else self.eigen.values
+
+    def to_spectral(self) -> "SpdPoint":
+        """The same point in spectral form on its eigendecomposition."""
+        if self.frame is not None:
+            return self
+        pair = self.eigen
+        point = SpdPoint._from_spectrum(pair.values, pair, (pair.values, pair.vectors))
+        point._matrix = self._matrix
+        return point
+
+    def to_dense(self) -> "SpdPoint":
+        """The same point held densely, its matrix formed from the spectrum."""
+        if self.frame is None:
+            return self
+        pair = self.eigen
+        return SpdPoint(pair.reconstruct(), eigen=pair)
 
     def power(self, t: float) -> np.ndarray:
         """P^t through the cached spectrum (t = 0.5, -0.5, -1, 2, ...)."""
@@ -100,6 +202,35 @@ class SpdPoint:
         return f"SpdPoint(dim={self.dim})"
 
 
+class SpectralTangent:
+    """Tangent V = basis diag(coeffs) basis^T in the frame of a spectral point.
+
+    Such a V commutes with its base point.  Scaling by a number is the only
+    arithmetic the solver needs.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: np.ndarray):
+        self.coeffs = coeffs
+
+    def __mul__(self, t: float) -> "SpectralTangent":
+        return SpectralTangent(t * self.coeffs)
+
+    __rmul__ = __mul__
+
+
+def _whitened(p: SpdPoint, v: SpectralTangent) -> np.ndarray:
+    """Eigenvalues c / lambda of P^{-1/2} V P^{-1/2}, in frame order."""
+    if p.frame is None:
+        raise DimMismatch("spectral tangent at a point without a spectral frame")
+    values = p.frame[0]
+    if v.coeffs.shape != values.shape:
+        raise DimMismatch(f"tangent has {v.coeffs.shape[0]} coefficients, point dimension {p.dim}")
+    with np.errstate(over="ignore"):
+        return v.coeffs / values
+
+
 def _tangent_at(p: SpdPoint, v: np.ndarray) -> np.ndarray:
     """Symmetrize a tangent vector and check it lives at ``p``."""
     v = symmetrize(v)
@@ -110,6 +241,9 @@ def _tangent_at(p: SpdPoint, v: np.ndarray) -> np.ndarray:
 
 def inner(p: SpdPoint, u: np.ndarray, v: np.ndarray) -> float:
     """Affine-invariant metric <U, V>_P = tr(V P^{-1} U P^{-1})."""
+    if isinstance(u, SpectralTangent) and isinstance(v, SpectralTangent):
+        with np.errstate(over="ignore"):
+            return float(np.sum(_whitened(p, u) * _whitened(p, v)))
     u = _tangent_at(p, u)
     v = _tangent_at(p, v)
     s = p.inv_sqrt()
@@ -119,6 +253,9 @@ def inner(p: SpdPoint, u: np.ndarray, v: np.ndarray) -> float:
 
 def norm(p: SpdPoint, v: np.ndarray) -> float:
     """Metric norm ||V||_P = ||P^{-1/2} V P^{-1/2}||_F; zero iff V = 0."""
+    if isinstance(v, SpectralTangent):
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(_whitened(p, v)))
     v = _tangent_at(p, v)
     s = p.inv_sqrt()
     with np.errstate(over="ignore"):
@@ -144,7 +281,20 @@ def exp_map(p: SpdPoint, v: np.ndarray) -> SpdPoint:
     precision while skipping the factorization round-trip (whose rounding
     would otherwise dominate the distance between consecutive iterates near
     a singularity).
+
+    A SpectralTangent steps in closed form on the point's frame; a result
+    whose spread lambda_min / lambda_max falls below 1e-17 has no positive
+    definite matrix form and also raises StepOverflow.
     """
+    if isinstance(v, SpectralTangent):
+        w = _whitened(p, v)
+        with np.errstate(over="ignore"):
+            values = p.frame[0] * np.exp(w)
+        if not np.all(np.isfinite(values)):
+            raise StepOverflow("exponential-map result has non-finite entries")
+        if not _spread(values) >= _ROUNDING_FLOOR:
+            raise StepOverflow("exponential-map result rounded outside the cone")
+        return SpdPoint.from_frame(values, p.frame[1])
     v = _tangent_at(p, v)
     lam = p.eigen.values
     whitened_bound = float(np.linalg.norm(v, "fro")) / float(lam[0])
@@ -167,8 +317,37 @@ def exp_map(p: SpdPoint, v: np.ndarray) -> SpdPoint:
         raise StepOverflow("exponential-map result rounded outside the cone") from err
 
 
+def needs_dense(p: SpdPoint, v: np.ndarray | SpectralTangent, steps: np.ndarray) -> bool:
+    """Whether an iteration from ``p`` along ``v`` belongs on the dense route.
+
+    True when ``v`` is a SpectralTangent and the iterate, the coefficients
+    of ``v`` or any finite trial exp_P(t v) for t in ``steps`` leave the
+    range in which the spectral route reproduces the dense one: a spread
+    lambda_min / lambda_max below 1e-13, or eigenvalues or coefficients
+    beyond 1e100 in magnitude (eigenvalues also below 1e-100).  The solver
+    then continues from ``p.to_dense()``.  Non-finite trials need no
+    hand-over: both routes reject them as overflowing.
+    """
+    if not isinstance(v, SpectralTangent):
+        return False
+    values = p.frame[0]
+    if np.max(np.abs(v.coeffs)) > _HANDOVER_SCALE:
+        return True
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        trials = values * np.exp(np.multiply.outer(steps, v.coeffs) / values)
+        points = np.vstack([values, trials])
+        low, high = points.min(axis=1), points.max(axis=1)
+        spread_ok = low / high >= _HANDOVER_SPREAD
+        inside = spread_ok & (low >= 1.0 / _HANDOVER_SCALE) & (high <= _HANDOVER_SCALE)
+    finite = np.all(np.isfinite(points), axis=1)
+    return bool(np.any(finite & ~inside))
+
+
 def _scalar_coefficient(p: SpdPoint) -> float | None:
     """c if the point is exactly c times the identity, else None."""
+    if p.frame is not None:
+        values = p.frame[0]
+        return float(values[0]) if np.all(values == values[0]) else None
     diag = np.diag(p.matrix)
     if np.all(diag == diag[0]) and np.count_nonzero(p.matrix) == p.dim:
         return float(diag[0])
@@ -191,7 +370,7 @@ def distance(a: SpdPoint, b: SpdPoint) -> float:
     if ca is not None and cb is not None:
         return abs(float(np.log(cb / ca))) * float(np.sqrt(a.dim))
     if ca is not None or cb is not None:
-        lam, c = (b.eigen.values, ca) if cb is None else (a.eigen.values, cb)
+        lam, c = (b.spectrum, ca) if cb is None else (a.spectrum, cb)
         return float(np.sqrt(np.sum(np.log(lam / c) ** 2)))
     s = a.inv_sqrt()
     c = symmetrize(s @ b.matrix @ s)
@@ -206,16 +385,15 @@ def random_spd(dim: int, eig_low: float, eig_high: float, seed: int) -> SpdPoint
 
     The spectrum is drawn first, then an orthogonal frame from the sign-fixed
     QR factorization of a Gaussian matrix.  Identical arguments give bitwise
-    identical points.
+    identical points.  The matrix is formed on first use.
     """
     if dim < 1:
         raise InvalidRange(f"dimension must be >= 1, got {dim}")
-    if not (0.0 < eig_low <= eig_high):
+    if not (0.0 < eig_low <= eig_high < np.inf):
         raise InvalidRange(f"need 0 < eig_low <= eig_high, got [{eig_low}, {eig_high}]")
     rng = np.random.default_rng(seed)
     lam = np.sort(rng.uniform(eig_low, eig_high, size=dim))
     g = rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)
     q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    matrix = symmetrize((q * lam) @ q.T)
-    return SpdPoint(matrix, eigen=EigenPair(values=lam, vectors=q))
+    return SpdPoint.from_eigen(EigenPair(values=lam, vectors=q))

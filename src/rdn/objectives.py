@@ -17,6 +17,15 @@ a Lyapunov equation P V + V P = RHS with an RHS polynomial in P:
 
 The merit function is phi(P) = ||grad f(P)||_P^2 / 2, with closed-form
 gradients  a b I - b^2 P^{-1}  and  b^2 P^3 - a b P^2.
+
+All of these are spectral functions of P.  At a point in spectral form
+GradientField therefore returns the field and the Newton direction as
+SpectralTangents on the point's frame, with eigenvalue coefficients
+
+    field:   a lambda - b            (one),   a lambda - b lambda^2   (two),
+    Newton:  lambda - (a/b) lambda^2 (one),   a/b - lambda            (two),
+
+and the merit is read off the frame's eigenvalues.
 """
 
 from __future__ import annotations
@@ -26,8 +35,9 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import SpectrumDomainError
 from .linalg import EigenPair, lyapunov_solve, mat_func, symmetrize
-from .manifold import SpdPoint
+from .manifold import SpdPoint, SpectralTangent
 
 __all__ = [
     "Family",
@@ -63,8 +73,8 @@ class Objective:
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError(f"coefficients must be positive, got a={self.a}, b={self.b}")
+        if not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf):
+            raise ValueError(f"coefficients must be finite and positive, got a={self.a}, b={self.b}")
 
     @property
     def ratio(self) -> float:
@@ -73,7 +83,7 @@ class Objective:
 
 def value(obj: Objective, p: SpdPoint) -> float:
     """Objective value through the spectrum (ln det P = sum of ln lambda_i)."""
-    lam = p.eigen.values
+    lam = p.spectrum
     logdet = float(np.sum(np.log(lam)))
     if obj.family is Family.F1:
         return obj.a * logdet + obj.b * float(np.sum(1.0 / lam))
@@ -142,7 +152,7 @@ def newton_solve(obj: Objective, p: SpdPoint) -> np.ndarray:
 
 def _residual_spectrum(obj: Objective, p: SpdPoint) -> np.ndarray:
     """Eigenvalues of P^{-1/2} grad f(P) P^{-1/2}: a - b/lambda or a - b lambda."""
-    lam = p.eigen.values
+    lam = p.spectrum
     with np.errstate(over="ignore"):
         if obj.family is Family.F1:
             return obj.a - obj.b / lam
@@ -171,25 +181,47 @@ def minimizer(obj: Objective, dim: int) -> SpdPoint:
     return SpdPoint(c * eye, eigen=EigenPair(values=np.full(dim, c), vectors=eye))
 
 
+def _spectral(coeffs: np.ndarray) -> SpectralTangent:
+    if not np.all(np.isfinite(coeffs)):
+        raise SpectrumDomainError("spectral coefficients are not finite")
+    return SpectralTangent(coeffs)
+
+
 class GradientField:
     """The gradient vector field X = grad f of an objective, packaged with
     every operation the damped Newton solver needs.
 
     Any object with the same six methods can be handed to the solver; this
-    class is the concrete instantiation for the two shipped families.
+    class is the concrete instantiation for the two shipped families.  At
+    spectral points (``p.frame`` set) the field and the Newton direction are
+    SpectralTangents, so the solver's steps stay O(n); at dense points they
+    are matrices.
     """
 
     def __init__(self, objective: Objective):
         self.objective = objective
 
-    def field_value(self, p: SpdPoint) -> np.ndarray:
-        return riemannian_grad(self.objective, p)
+    def field_value(self, p: SpdPoint) -> np.ndarray | SpectralTangent:
+        if p.frame is None:
+            return riemannian_grad(self.objective, p)
+        obj, lam = self.objective, p.frame[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if obj.family is Family.F1:
+                return _spectral(obj.a * lam - obj.b)
+            return _spectral(obj.a * lam - obj.b * lam**2)
 
     def hess_apply(self, p: SpdPoint, v: np.ndarray) -> np.ndarray:
         return hess_apply(self.objective, p, v)
 
-    def newton_solve(self, p: SpdPoint) -> np.ndarray:
-        return newton_solve(self.objective, p)
+    def newton_solve(self, p: SpdPoint) -> np.ndarray | SpectralTangent:
+        if p.frame is None:
+            return newton_solve(self.objective, p)
+        obj, lam = self.objective, p.frame[0]
+        ratio = obj.a / obj.b
+        with np.errstate(over="ignore", invalid="ignore"):
+            if obj.family is Family.F1:
+                return _spectral(lam - ratio * lam**2)
+            return _spectral(ratio - lam)
 
     def merit_value(self, p: SpdPoint) -> float:
         return merit_value(self.objective, p)

@@ -20,8 +20,20 @@ Counters follow iteration-count-table semantics: each committed iteration
 counts one Hessian evaluation (the Newton solve) and one gradient evaluation,
 and every merit evaluation inside the backtracking loop counts one more
 gradient evaluation; the final evaluation that certifies the stop criterion
-is not counted.  Hence he == nit always, ge == nit for the full method, and
-ge == 2 * nit + total backtracks for the damped one.
+is not counted.  Hence he == nit always and ge == nit for the full method.
+For the damped one 2 * nit <= ge <= 2 * nit + total backtracks: a trial
+rejected as unrepresentable (its exponential overflows, or it rounds outside
+the cone) costs a backtrack but no merit evaluation.  Equality with the upper
+bound holds when no trial is rejected that way.
+
+The solver starts from the spectral form of P_0.  Problems whose field and
+Newton direction come back as SpectralTangents there (the shipped
+GradientField) run the same loop in O(n) per trial; others return matrices
+and continue on the dense route.  Before any iteration whose iterate,
+direction or possible trial points leave the range where the spectral route
+reproduces the dense one (manifold.needs_dense: spreads near the rounding
+floor, magnitudes near overflow), the iterate is materialized and the run
+finishes on the dense route, so statuses and counters match it.
 """
 
 from __future__ import annotations
@@ -42,7 +54,7 @@ from .errors import (
     StationaryOfMerit,
     StepOverflow,
 )
-from .manifold import SpdPoint, exp_map, inner, norm
+from .manifold import SpdPoint, exp_map, inner, needs_dense, norm
 
 __all__ = [
     "Method",
@@ -78,7 +90,10 @@ class DirectionKind(str, Enum):
 
 
 class Problem(Protocol):
-    """A differentiable vector field X on the cone, with merit phi = ||X||^2/2."""
+    """A differentiable vector field X on the cone, with merit phi = ||X||^2/2.
+
+    At spectral points (``p.frame`` set) a problem may return SpectralTangents.
+    """
 
     def field_value(self, p: SpdPoint) -> np.ndarray: ...
 
@@ -242,13 +257,21 @@ def solve(
     (k = 0) and after every committed step.
     """
     start = time.perf_counter()
-    p = p0
+    try:
+        p = p0.to_spectral()
+    except InvalidPoint:
+        p = p0  # the dense route below reports the breakdown as a status
     records: list[IterationRecord] = []
     he = 0
     ge = 0
     k = 0
     final_grad_norm = math.nan
     final_merit = math.nan
+    # Step sizes a line search may try: the hand-over check covers all of them.
+    if config.method is Method.DAMPED:
+        trial_steps = np.ldexp(1.0, -np.arange(config.max_backtracks + 1))
+    else:
+        trial_steps = np.ones(1)
     if on_iterate is not None:
         on_iterate(0, p0)
     while True:
@@ -269,6 +292,9 @@ def solve(
             break
         try:
             v, kind = direction(problem, p)
+            if needs_dense(p, v, trial_steps):
+                p = p.to_dense()
+                continue
             if config.method is Method.FULL:
                 nxt = exp_map(p, v)
                 alpha, backtracks, trial_evals = 1.0, 0, 0

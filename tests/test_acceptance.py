@@ -168,6 +168,31 @@ def test_criterion_2_convergence_at_desk_scale(sweep):
     report(2, "convergence at desk scale", failures)
 
 
+def test_convergence_at_n1000():
+    # Beside criterion 2: the strongly overshooting pairs at the table's
+    # largest dimension.  The full step at family one, ratio 0.1, wanders
+    # for about a hundred iterations, which only the spectral route makes
+    # affordable here.
+    failures = []
+    started = time.perf_counter()
+    for family, ratio, seed in ((Family.F1, 0.1, 900), (Family.F2, 0.001, 901)):
+        obj = Objective(family, 1.0, ratio)
+        p0 = random_spd(1000, *NARROW, seed=seed)
+        star = minimizer(obj, 1000)
+        for method in (Method.FULL, Method.DAMPED):
+            point, trace = solve(GradientField(obj), p0, SolverConfig(method=method))
+            label = f"{family.value}/{ratio}/n=1000 {method.value}"
+            if trace.status is not Status.CONVERGED:
+                failures.append(f"{label}: {trace.status.value} after {trace.nit} iterations")
+            elif not distance(point, star) <= 1e-6:
+                failures.append(f"{label}: dist {distance(point, star):.2e}")
+    runtime = time.perf_counter() - started
+    if runtime >= 30.0:
+        failures.append(f"runtime {runtime:.1f}s >= 30s")
+    print(f"[acceptance] convergence at n = 1000: {'PASS' if not failures else 'FAIL'}")
+    assert not failures, "; ".join(failures)
+
+
 def test_criterion_3_iteration_count_trend(sweep):
     instances, _ = sweep
     failures = []

@@ -73,3 +73,50 @@ def test_table1_deterministic_in_process(tmp_path):
     main(["--table1", "--max-dim", "10", "--seed", "9", "--out", str(a), "--quiet"])
     main(["--table1", "--max-dim", "10", "--seed", "9", "--out", str(b), "--quiet"])
     assert a.read_bytes() == b.read_bytes()
+
+
+SINGLE_RUN = ["--family", "f1", "--ratio", "1", "--dim", "2", "--method", "damped", "--quiet"]
+
+
+def _replace(argv, flag, value):
+    if flag in argv:
+        argv = list(argv)
+        argv[argv.index(flag) + 1] = value
+        return argv
+    return [*argv, flag, value]
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--ratio", "-1", "ratio"),
+        ("--ratio", "nan", "ratio"),
+        ("--ratio", "inf", "ratio"),
+        ("--dim", "0", "dim"),
+        ("--sigma", "0.7", "sigma"),
+        ("--max-iters", "0", "max_iters"),
+        ("--init-range", "10,1", "init range"),
+        ("--init-range", "1,inf", "init range"),
+    ],
+)
+def test_invalid_value_is_a_usage_error(flag, value, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_replace(SINGLE_RUN, flag, value))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err
+
+
+def test_invalid_value_in_grid_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--table1", "--max-dim", "1", "--sigma", "0.7", "--quiet"])
+    assert exc.value.code == 2
+    assert "sigma" in capsys.readouterr().err
+
+
+def test_non_integer_thread_count_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("RDN_THREADS", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(SINGLE_RUN)
+    assert exc.value.code == 2
+    assert "RDN_THREADS" in capsys.readouterr().err

@@ -4,7 +4,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rdn.errors import DimMismatch, InvalidPoint, InvalidRange, StepOverflow
 from rdn.linalg import mat_func, sym_eigen, symmetrize
-from rdn.manifold import SpdPoint, distance, exp_map, inner, norm, random_spd
+from rdn.manifold import (
+    SpdPoint,
+    SpectralTangent,
+    distance,
+    exp_map,
+    inner,
+    needs_dense,
+    norm,
+    random_spd,
+)
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -232,3 +241,71 @@ class TestRandomSpd:
             random_spd(3, 2.0, 1.0, seed=0)
         with pytest.raises(InvalidRange):
             random_spd(0, 1.0, 2.0, seed=0)
+
+
+class TestSpectralSeam:
+    def test_spectral_operations_match_the_dense_route(self):
+        rng = np.random.default_rng(15)
+        p = random_spd(6, 0.5, 3.0, seed=15).to_spectral()
+        basis = p.frame[1]
+        cu, cv = rng.standard_normal(6), rng.standard_normal(6)
+        u, v = SpectralTangent(cu), SpectralTangent(cv)
+        du, dv = (basis * cu) @ basis.T, (basis * cv) @ basis.T
+        assert norm(p, v) == pytest.approx(norm(p, dv), rel=1e-12)
+        assert inner(p, u, v) == pytest.approx(inner(p, du, dv), rel=1e-12)
+        got = exp_map(p, 0.5 * v)
+        assert got.frame is not None and got.frame[1] is basis
+        expected = exp_map(p, 0.5 * dv).matrix
+        assert np.linalg.norm(got.matrix - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_unrepresentable_steps_raise(self):
+        p = SpdPoint.from_frame(np.ones(2), np.eye(2))
+        with pytest.raises(StepOverflow):
+            exp_map(p, SpectralTangent(np.array([800.0, 0.0])))
+        with pytest.raises(StepOverflow):  # spread e^-40 < 1e-17
+            exp_map(p, SpectralTangent(np.array([0.0, -40.0])))
+        assert exp_map(p, SpectralTangent(np.array([0.0, -30.0]))).frame is not None
+
+    def test_hand_over_near_the_rounding_floor(self):
+        p = SpdPoint.from_frame(np.ones(2), np.eye(2))
+        v = SpectralTangent(np.array([0.0, np.log(1e-15)]))
+        assert needs_dense(p, v, np.array([1.0]))
+        assert not needs_dense(p, v, np.array([0.5, 0.25]))
+        assert not needs_dense(p, np.diag(v.coeffs), np.array([1.0]))
+        narrow = SpdPoint.from_frame(np.array([1e-14, 1.0]), np.eye(2))
+        assert needs_dense(narrow, SpectralTangent(np.zeros(2)), np.array([1.0]))
+
+    def test_hand_over_below_the_rounding_floor(self):
+        # The dense route accepts a few materialized matrices at a spread of
+        # 1e-18, so such a trial is left to it rather than rejected here.
+        p = SpdPoint.from_frame(np.ones(2), np.eye(2))
+        v = SpectralTangent(np.array([0.0, np.log(1e-18)]))
+        assert needs_dense(p, v, np.array([1.0, 0.5]))
+        with pytest.raises(StepOverflow):
+            exp_map(p, v)
+        underflow = SpectralTangent(np.array([0.0, -800.0]))
+        assert needs_dense(p, underflow, np.array([1.0]))
+
+    def test_overflowing_trials_stay_spectral(self):
+        p = SpdPoint.from_frame(np.ones(2), np.eye(2))
+        assert not needs_dense(p, SpectralTangent(np.array([800.0, 0.0])), np.array([1.0]))
+
+    def test_hand_over_at_extreme_magnitudes(self):
+        still = SpectralTangent(np.zeros(2))
+        for values in ([1e101, 2e101], [1e-101, 2e-101]):
+            assert needs_dense(SpdPoint.from_frame(np.array(values), np.eye(2)), still, np.ones(1))
+        p = SpdPoint.from_frame(np.array([1.0, 2.0]), np.eye(2))
+        assert needs_dense(p, SpectralTangent(np.array([0.0, 1e101])), np.array([2.0**-400]))
+        assert needs_dense(p, SpectralTangent(np.array([240.0, 480.0])), np.ones(1))  # trial 1.7e104
+        assert not needs_dense(p, SpectralTangent(np.array([200.0, 400.0])), np.ones(1))
+
+    def test_dense_and_spectral_forms_agree(self):
+        rng = np.random.default_rng(16)
+        basis, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        p = SpdPoint.from_frame(np.array([3.0, 1.0, 2.0, 5.0, 4.0]), basis)
+        dense = p.to_dense()
+        assert dense.frame is None
+        assert np.array_equal(dense.eigen.values, np.arange(1.0, 6.0))
+        assert np.allclose(dense.matrix, p.matrix, rtol=0, atol=1e-13)
+        again = dense.to_spectral()
+        assert again.eigen is dense.eigen and again.matrix is dense.matrix
