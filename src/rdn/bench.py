@@ -66,6 +66,8 @@ class ExperimentSpec:
             raise ValueError(f"ratio must be finite and positive, got {self.ratio}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         low, high = self.init_eig_range
         if not 0.0 < low <= high < float("inf"):
             raise ValueError(f"init range needs 0 < LOW <= HIGH < inf, got {low},{high}")
@@ -155,8 +157,11 @@ def table1_grid(
 
     Row i draws seed ``seed + i``; the index runs over the unfiltered grid so
     a seed stays attached to its (family, ratio, dim, method) cell no matter
-    how ``max_dim`` trims the list.
+    how ``max_dim`` trims the list.  A ``max_dim`` below 1 would trim every
+    cell and is rejected.
     """
+    if max_dim is not None and max_dim < 1:
+        raise ValueError(f"max_dim must be >= 1, got {max_dim}")
     specs: list[ExperimentSpec] = []
     index = 0
     for family, ratios in ((Family.F1, F1_RATIOS), (Family.F2, F2_RATIOS)):

@@ -11,7 +11,8 @@ Full grid (both families, ratios 0.1/1.0/1.5 and 0.001/0.002/0.01, dims
     rdn-bench --table1 --max-dim 100 --seed 42 --out table1.csv
 
 Exit code is 0 iff every requested run converged; invalid arguments (and a
-non-integer RDN_THREADS) exit with 2 and a usage message.  The CSV keeps its
+non-integer RDN_THREADS, or an output path that is a directory or lies in a
+missing one) exit with 2 and a usage message before any run.  The CSV keeps its
 wall-clock column at 0.0 unless --wall-times is given, so identical
 invocations produce byte-identical files; measured times are always printed
 in the per-run summary.
@@ -20,6 +21,7 @@ in the per-run summary.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import ExperimentSpec, _worker_count, emit_csv, emit_trace, run_grid, table1_grid
@@ -121,6 +123,12 @@ def main(argv: list[str] | None = None) -> int:
             ]
     except ValueError as err:
         parser.error(str(err))
+    # Fail before the runs, not after them, when an output cannot be written.
+    for flag, path in (("--out", args.out), ("--trace", args.trace)):
+        if path and os.path.isdir(path):
+            parser.error(f"{flag}: cannot write {path}: it is a directory")
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            parser.error(f"{flag}: cannot write {path}: no such directory")
 
     results = run_grid(specs, max_workers=workers)
 

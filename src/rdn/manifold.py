@@ -28,10 +28,24 @@ after the start's.  Plain ndarray tangents take the dense route unchanged.
 Where the dense route's outcome is decided by rounding noise or by where its
 intermediates overflow (spreads lambda_min / lambda_max below 1e-13, or
 eigenvalues and coefficients beyond 1e100), ``needs_dense`` tells the solver
-to continue on the dense route from a materialized point.
+to run that iteration on the dense route from a materialized point
+(``to_dense``); the solver then returns to the spectral route on the new
+iterate's eigendecomposition (``to_spectral``, which keeps the matrix and
+the factorization the dense route cached, and whose ``to_dense`` hands the
+same arrays back).
+
+Lazy bases.  ``random_spd`` draws the spectrum at once but the basis (a QR
+factorization) only when something reads it: the matrix, the
+eigendecomposition or a spectral point's ``frame``.  The hot paths read
+eigenvalues through ``spectrum`` and test for the spectral form with
+``spectral``, neither of which draws it, so a run that stays spectral
+factorizes nothing.
 """
 
 from __future__ import annotations
+
+import threading
+from typing import Callable
 
 import numpy as np
 
@@ -78,19 +92,46 @@ def _spread(values: np.ndarray) -> float:
     return float(np.min(values) / np.max(values))
 
 
+class _LazyPair:
+    """EigenPair(values, basis) whose basis is made on first use.
+
+    ``make_basis`` runs once, under a lock, so a point shared between threads
+    pays for its basis once; it must give the same bits whenever it runs
+    (``random_spd`` draws from a copy of the generator's state).
+    """
+
+    __slots__ = ("values", "_make_basis", "_pair", "_lock")
+
+    def __init__(self, values: np.ndarray, make_basis: Callable[[], np.ndarray]):
+        self.values = values
+        self._make_basis = make_basis
+        self._pair: EigenPair | None = None
+        self._lock = threading.Lock()
+
+    def pair(self) -> EigenPair:
+        if self._pair is None:
+            with self._lock:
+                if self._pair is None:
+                    self._pair = EigenPair(values=self.values, vectors=self._make_basis())
+        return self._pair
+
+
 class SpdPoint:
     """A symmetric positive definite matrix as a point of the cone.
 
     Construction symmetrizes the input and verifies numerical positive
     definiteness (by Cholesky, or directly from a supplied eigendecomposition).
-    ``from_eigen`` and ``from_frame`` build a point from its spectrum instead,
-    forming the matrix only on first use; ``frame`` is set only on spectral
-    points (``from_frame``, ``to_spectral``).  The matrix is frozen once
-    formed; the caches are filled idempotently on first use, so points are
-    safe to share between threads.
+    ``from_frame`` builds a spectral point from its eigenvalues and basis
+    instead, forming the matrix only on first use; ``frame`` is set only on
+    spectral points (``from_frame``, ``to_spectral``, spectral steps), and
+    ``spectral``/``spectrum`` read them without drawing a lazy basis.  The
+    matrix is frozen once formed; the caches are filled idempotently on first
+    use, so points are safe to share between threads.
     """
 
-    __slots__ = ("_matrix", "_eigen", "frame")
+    # _values/_basis: the frame of a spectral point (the basis an ndarray, or
+    # the _LazyPair of a random start whose basis is not drawn yet).
+    __slots__ = ("_matrix", "_eigen", "_values", "_basis")
 
     def __init__(self, matrix: np.ndarray, *, eigen: EigenPair | None = None):
         m = symmetrize(matrix)
@@ -107,34 +148,54 @@ class SpdPoint:
         m.flags.writeable = False
         self._matrix = m
         self._eigen = eigen
-        self.frame: tuple[np.ndarray, np.ndarray] | None = None
+        self._values = self._basis = None
 
     @classmethod
-    def _from_spectrum(cls, values: np.ndarray, eigen: EigenPair | None, frame: tuple | None) -> "SpdPoint":
+    def _from_spectrum(
+        cls,
+        values: np.ndarray,
+        eigen: EigenPair | _LazyPair | None,
+        basis: np.ndarray | _LazyPair | None,
+    ) -> "SpdPoint":
+        """A point without its matrix: spectral when ``basis`` is given, else
+        dense with the (possibly lazy) factorization ``eigen``."""
         if not (np.all(np.isfinite(values)) and np.min(values) > 0.0):
             raise InvalidPoint("spectrum is not finite and strictly positive")
         point = object.__new__(cls)
         point._matrix = None
         point._eigen = eigen
-        point.frame = frame
+        point._values = None if basis is None else values
+        point._basis = basis
         return point
-
-    @classmethod
-    def from_eigen(cls, pair: EigenPair) -> "SpdPoint":
-        """Dense point with the factorization ``pair`` (values ascending)."""
-        return cls._from_spectrum(pair.values, pair, None)
 
     @classmethod
     def from_frame(cls, values: np.ndarray, basis: np.ndarray) -> "SpdPoint":
         """Spectral point basis diag(values) basis^T, ``basis`` orthogonal and
         ``values`` in the order of its columns, finite and strictly positive."""
-        return cls._from_spectrum(values, None, (values, basis))
+        return cls._from_spectrum(values, None, basis)
+
+    @property
+    def spectral(self) -> bool:
+        """Whether the point is held in spectral form (``frame`` is set)."""
+        return self._basis is not None
+
+    @property
+    def frame(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(values, basis) with P = basis diag(values) basis^T on spectral
+        points, else None.  Reading it draws a lazy basis."""
+        if self._basis is None:
+            return None
+        if isinstance(self._basis, _LazyPair):
+            self._basis = self._basis.pair().vectors
+        return self._values, self._basis
 
     @property
     def matrix(self) -> np.ndarray:
+        """The matrix; formed on first use from the ascending
+        eigendecomposition, so the dense and the spectral form of a point
+        give the same bits whatever the frame order."""
         if self._matrix is None:
-            values, basis = self.frame or (self._eigen.values, self._eigen.vectors)
-            m = symmetrize((basis * values) @ basis.T)
+            m = self.eigen.reconstruct()
             if not np.all(np.isfinite(m)):
                 raise InvalidPoint("matrix has non-finite entries")
             m.flags.writeable = False
@@ -143,47 +204,61 @@ class SpdPoint:
 
     @property
     def dim(self) -> int:
-        if self.frame is not None:
-            return self.frame[0].shape[0]
-        return self._matrix.shape[0] if self._matrix is not None else self._eigen.dim
+        return self._matrix.shape[0] if self._matrix is not None else self.spectrum.shape[0]
 
     @property
     def eigen(self) -> EigenPair:
         """Cached spectral factorization; computed once, reused everywhere."""
-        if self._eigen is None:
-            if self.frame is not None:
+        pair = self._eigen
+        if not isinstance(pair, EigenPair):
+            if pair is not None:
+                pair = pair.pair()
+            elif self._basis is not None:
                 values, basis = self.frame
                 order = np.argsort(values, kind="stable")
-                self._eigen = EigenPair(values=values[order], vectors=basis[:, order])
+                pair = EigenPair(values=values[order], vectors=basis[:, order])
             else:
                 pair = sym_eigen(self.matrix)
                 if float(pair.values[0]) <= 0.0:
                     # Cholesky can accept matrices whose smallest eigenvalues sit
                     # below the rounding floor of the largest; reject them here.
                     raise InvalidPoint("matrix is not numerically positive definite")
-                self._eigen = pair
-        return self._eigen
+            self._eigen = pair
+        return pair
 
     @property
     def spectrum(self) -> np.ndarray:
-        """The eigenvalues, in frame order for spectral points."""
-        return self.frame[0] if self.frame is not None else self.eigen.values
+        """The eigenvalues, in frame order for spectral points; reading them
+        draws no lazy basis."""
+        if self._values is not None:
+            return self._values
+        return (self._eigen if self._eigen is not None else self.eigen).values
 
     def to_spectral(self) -> "SpdPoint":
-        """The same point in spectral form on its eigendecomposition."""
-        if self.frame is not None:
+        """The same point in spectral form on its eigendecomposition, sharing
+        its cached matrix and factorization (a random start's basis stays
+        undrawn)."""
+        if self._basis is not None:
             return self
-        pair = self.eigen
-        point = SpdPoint._from_spectrum(pair.values, pair, (pair.values, pair.vectors))
+        if isinstance(self._eigen, _LazyPair):
+            pair, basis = self._eigen, self._eigen
+        else:
+            pair = self.eigen
+            basis = pair.vectors
+        point = SpdPoint._from_spectrum(pair.values, pair, basis)
         point._matrix = self._matrix
         return point
 
     def to_dense(self) -> "SpdPoint":
-        """The same point held densely, its matrix formed from the spectrum."""
-        if self.frame is None:
+        """The same point held densely, on the cached matrix and ascending
+        factorization: a point made by ``to_spectral`` gives back the arrays
+        of the dense point it was made from."""
+        if self._basis is None:
             return self
         pair = self.eigen
-        return SpdPoint(pair.reconstruct(), eigen=pair)
+        point = SpdPoint._from_spectrum(pair.values, pair, None)
+        point._matrix = self.matrix
+        return point
 
     def power(self, t: float) -> np.ndarray:
         """P^t through the cached spectrum (t = 0.5, -0.5, -1, 2, ...)."""
@@ -222,9 +297,9 @@ class SpectralTangent:
 
 def _whitened(p: SpdPoint, v: SpectralTangent) -> np.ndarray:
     """Eigenvalues c / lambda of P^{-1/2} V P^{-1/2}, in frame order."""
-    if p.frame is None:
+    if not p.spectral:
         raise DimMismatch("spectral tangent at a point without a spectral frame")
-    values = p.frame[0]
+    values = p.spectrum
     if v.coeffs.shape != values.shape:
         raise DimMismatch(f"tangent has {v.coeffs.shape[0]} coefficients, point dimension {p.dim}")
     with np.errstate(over="ignore"):
@@ -289,12 +364,12 @@ def exp_map(p: SpdPoint, v: np.ndarray) -> SpdPoint:
     if isinstance(v, SpectralTangent):
         w = _whitened(p, v)
         with np.errstate(over="ignore"):
-            values = p.frame[0] * np.exp(w)
+            values = p.spectrum * np.exp(w)
         if not np.all(np.isfinite(values)):
             raise StepOverflow("exponential-map result has non-finite entries")
         if not _spread(values) >= _ROUNDING_FLOOR:
             raise StepOverflow("exponential-map result rounded outside the cone")
-        return SpdPoint.from_frame(values, p.frame[1])
+        return SpdPoint._from_spectrum(values, None, p._basis)
     v = _tangent_at(p, v)
     lam = p.eigen.values
     whitened_bound = float(np.linalg.norm(v, "fro")) / float(lam[0])
@@ -330,7 +405,7 @@ def needs_dense(p: SpdPoint, v: np.ndarray | SpectralTangent, steps: np.ndarray)
     """
     if not isinstance(v, SpectralTangent):
         return False
-    values = p.frame[0]
+    values = p.spectrum
     if np.max(np.abs(v.coeffs)) > _HANDOVER_SCALE:
         return True
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
@@ -345,8 +420,8 @@ def needs_dense(p: SpdPoint, v: np.ndarray | SpectralTangent, steps: np.ndarray)
 
 def _scalar_coefficient(p: SpdPoint) -> float | None:
     """c if the point is exactly c times the identity, else None."""
-    if p.frame is not None:
-        values = p.frame[0]
+    if p.spectral:
+        values = p.spectrum
         return float(values[0]) if np.all(values == values[0]) else None
     diag = np.diag(p.matrix)
     if np.all(diag == diag[0]) and np.count_nonzero(p.matrix) == p.dim:
@@ -385,7 +460,10 @@ def random_spd(dim: int, eig_low: float, eig_high: float, seed: int) -> SpdPoint
 
     The spectrum is drawn first, then an orthogonal frame from the sign-fixed
     QR factorization of a Gaussian matrix.  Identical arguments give bitwise
-    identical points.  The matrix is formed on first use.
+    identical points.  The frame is drawn, from a copy of the generator's
+    state, only when the basis is first read (``matrix``, ``eigen`` or the
+    ``frame`` of a spectral form), so a run that stays on the spectral route
+    never pays for the QR; the matrix is formed on first use.
     """
     if dim < 1:
         raise InvalidRange(f"dimension must be >= 1, got {dim}")
@@ -393,7 +471,12 @@ def random_spd(dim: int, eig_low: float, eig_high: float, seed: int) -> SpdPoint
         raise InvalidRange(f"need 0 < eig_low <= eig_high, got [{eig_low}, {eig_high}]")
     rng = np.random.default_rng(seed)
     lam = np.sort(rng.uniform(eig_low, eig_high, size=dim))
-    g = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
-    return SpdPoint.from_eigen(EigenPair(values=lam, vectors=q))
+    state = rng.bit_generator.state
+
+    def draw_basis() -> np.ndarray:
+        gen = np.random.default_rng()
+        gen.bit_generator.state = state
+        q, r = np.linalg.qr(gen.standard_normal((dim, dim)))
+        return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+
+    return SpdPoint._from_spectrum(lam, _LazyPair(lam, draw_basis), None)

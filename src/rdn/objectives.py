@@ -191,9 +191,9 @@ class GradientField:
     """The gradient vector field X = grad f of an objective, packaged with
     every operation the damped Newton solver needs.
 
-    Any object with the same six methods can be handed to the solver; this
+    Any object with the same five methods can be handed to the solver; this
     class is the concrete instantiation for the two shipped families.  At
-    spectral points (``p.frame`` set) the field and the Newton direction are
+    spectral points (``p.spectral``) the field and the Newton direction are
     SpectralTangents, so the solver's steps stay O(n); at dense points they
     are matrices.
     """
@@ -202,21 +202,18 @@ class GradientField:
         self.objective = objective
 
     def field_value(self, p: SpdPoint) -> np.ndarray | SpectralTangent:
-        if p.frame is None:
+        if not p.spectral:
             return riemannian_grad(self.objective, p)
-        obj, lam = self.objective, p.frame[0]
+        obj, lam = self.objective, p.spectrum
         with np.errstate(over="ignore", invalid="ignore"):
             if obj.family is Family.F1:
                 return _spectral(obj.a * lam - obj.b)
             return _spectral(obj.a * lam - obj.b * lam**2)
 
-    def hess_apply(self, p: SpdPoint, v: np.ndarray) -> np.ndarray:
-        return hess_apply(self.objective, p, v)
-
     def newton_solve(self, p: SpdPoint) -> np.ndarray | SpectralTangent:
-        if p.frame is None:
+        if not p.spectral:
             return newton_solve(self.objective, p)
-        obj, lam = self.objective, p.frame[0]
+        obj, lam = self.objective, p.spectrum
         ratio = obj.a / obj.b
         with np.errstate(over="ignore", invalid="ignore"):
             if obj.family is Family.F1:

@@ -29,11 +29,14 @@ bound holds when no trial is rejected that way.
 The solver starts from the spectral form of P_0.  Problems whose field and
 Newton direction come back as SpectralTangents there (the shipped
 GradientField) run the same loop in O(n) per trial; others return matrices
-and continue on the dense route.  Before any iteration whose iterate,
-direction or possible trial points leave the range where the spectral route
-reproduces the dense one (manifold.needs_dense: spreads near the rounding
-floor, magnitudes near overflow), the iterate is materialized and the run
-finishes on the dense route, so statuses and counters match it.
+and continue on the dense route.  An iteration whose iterate, direction or
+possible trial points leave the range where the spectral route reproduces
+the dense one (manifold.needs_dense: spreads near the rounding floor,
+magnitudes near overflow) runs on the dense route instead, from the
+materialized iterate, so statuses and counters match it.  Once that
+iteration commits its step, the run returns to the spectral route on the
+new iterate's eigendecomposition; the iterates after a hand-over agree with
+a purely dense run only to rounding.
 """
 
 from __future__ import annotations
@@ -92,12 +95,10 @@ class DirectionKind(str, Enum):
 class Problem(Protocol):
     """A differentiable vector field X on the cone, with merit phi = ||X||^2/2.
 
-    At spectral points (``p.frame`` set) a problem may return SpectralTangents.
+    At spectral points (``p.spectral``) a problem may return SpectralTangents.
     """
 
     def field_value(self, p: SpdPoint) -> np.ndarray: ...
-
-    def hess_apply(self, p: SpdPoint, v: np.ndarray) -> np.ndarray: ...
 
     def newton_solve(self, p: SpdPoint) -> np.ndarray: ...
 
@@ -241,6 +242,15 @@ def armijo_stepsize(
     )
 
 
+def _spectral_form(p: SpdPoint) -> SpdPoint:
+    """``p`` in spectral form, or ``p`` itself if its spectrum is not
+    positive; the dense route then reports the breakdown as a status."""
+    try:
+        return p.to_spectral()
+    except InvalidPoint:
+        return p
+
+
 def solve(
     problem: Problem,
     p0: SpdPoint,
@@ -257,10 +267,8 @@ def solve(
     (k = 0) and after every committed step.
     """
     start = time.perf_counter()
-    try:
-        p = p0.to_spectral()
-    except InvalidPoint:
-        p = p0  # the dense route below reports the breakdown as a status
+    p = _spectral_form(p0)
+    handed_over = False
     records: list[IterationRecord] = []
     he = 0
     ge = 0
@@ -294,6 +302,7 @@ def solve(
             v, kind = direction(problem, p)
             if needs_dense(p, v, trial_steps):
                 p = p.to_dense()
+                handed_over = True
                 continue
             if config.method is Method.FULL:
                 nxt = exp_map(p, v)
@@ -339,6 +348,11 @@ def solve(
         p = nxt
         if on_iterate is not None:
             on_iterate(k, p)
+        if handed_over:
+            # Free: the accepted trial's eigendecomposition is cached by its
+            # merit, and a full step's would be computed by the next norm.
+            p = _spectral_form(p)
+            handed_over = False
     elapsed = time.perf_counter() - start
     trace = SolveTrace(
         records=tuple(records),

@@ -7,9 +7,16 @@ plain matrices, so the solver never leaves the dense route.  Both must give
 the same statuses, counters and per-iteration step decisions.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rdn
 from rdn.bench import ExperimentSpec, table1_grid
 from rdn.manifold import random_spd
 from rdn.objectives import (
@@ -121,3 +128,65 @@ def test_problems_returning_matrices_stay_dense():
     frames = []
     point, _ = solve(DenseField(obj), p0, SolverConfig(), on_iterate=lambda k, p: frames.append(p.frame))
     assert all(f is None for f in frames) and point.frame is None
+
+
+@pytest.mark.parametrize("seed", (48453, 48921))
+def test_run_returns_to_the_spectral_route_after_a_hand_over(seed):
+    # These cells hand over at the first iteration.  That iteration runs on
+    # the dense route; the run then continues on the spectral route, and the
+    # counters and step decisions stay those of the dense route throughout.
+    spec = ExperimentSpec(Family.F2, 0.01, 100, Method.DAMPED, seed=seed, init_eig_range=(1.0, 10.0))
+    obj = spec.objective()
+    p0 = random_spd(spec.dim, *spec.init_eig_range, seed=spec.seed)
+    spectral = []
+    point, trace = solve(GradientField(obj), p0, spec.config(), on_iterate=lambda k, p: spectral.append(p.spectral))
+    dense = solve(DenseField(obj), p0, spec.config())
+    assert _mismatches(spec, (point, trace), dense) == []
+    dense_steps = [k for k in range(trace.nit) if not spectral[k + 1]]
+    assert dense_steps and dense_steps[-1] < trace.nit - 1
+    assert all(spectral[dense_steps[-1] + 2:]) and point.spectral
+
+
+_ROUNDING_FLOOR_CELLS = """
+import json
+from rdn.bench import ExperimentSpec
+from rdn.manifold import random_spd
+from rdn.objectives import Family, GradientField
+from rdn.solver import Method, solve
+
+out = {}
+for seed in (48453, 48921):
+    spec = ExperimentSpec(Family.F2, 0.01, 100, Method.DAMPED, seed=seed, init_eig_range=(1.0, 10.0))
+    p0 = random_spd(spec.dim, *spec.init_eig_range, seed=spec.seed)
+    spectral = []
+    _, t = solve(GradientField(spec.objective()), p0, spec.config(), on_iterate=lambda k, p: spectral.append(p.spectral))
+    dense_steps = [k for k in range(t.nit) if not spectral[k + 1]]
+    out[seed] = [t.status.value, t.nit, t.he, t.ge, [r.backtracks for r in t.records], dense_steps]
+print(json.dumps(out))
+"""
+
+
+def test_rounding_floor_cells_keep_their_counters_on_one_thread():
+    # Pinned literally, as perfbench/reference.json pins its cells, because
+    # DenseField starts from the same spectral form of P_0 and so shares any
+    # fault in it: rebuilding the start's factorization from the frame's
+    # basis copy moves seed 48453 to GE 18 on both routes.  The dense route's
+    # rounding depends on the BLAS thread count (two OpenBLAS threads give GE
+    # 18 for seed 48453), so the cells run in a one-thread interpreter.
+    src = str(Path(rdn.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _ROUNDING_FLOOR_CELLS], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    # status, NIT, HE, GE, backtracks per iteration, iterations run densely
+    assert json.loads(proc.stdout) == {
+        "48453": ["converged", 7, 7, 19, [4, 2, 0, 0, 0, 0, 0], [0]],
+        "48921": ["converged", 7, 7, 19, [4, 2, 0, 0, 0, 0, 0], [0]],
+    }

@@ -197,3 +197,16 @@ class TestTraceEmission:
         assert r.status == Status.CONVERGED.value
         norms = [rec.grad_norm for rec in r.trace.records] + [r.final_grad_norm]
         assert all(a > b for a, b in zip(norms, norms[1:]))
+
+
+def test_spectral_run_at_n1000_factorizes_nothing(monkeypatch):
+    # The start's basis is drawn only when a matrix is read: a run that stays
+    # on the spectral route calls no QR and no factorization.
+    calls = []
+    for module, name in ((np.linalg, "qr"), (np.linalg, "eigh"), (np.linalg, "cholesky")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name, **k: (calls.append(_n), _f(*a, **k))[1])
+    result = run_experiment(spec(ratio=1.0, dim=1000, seed=43))
+    assert result.status == Status.CONVERGED.value and result.nit > 0
+    assert 0.0 <= result.final_dist_to_star < 1e-6
+    assert calls == []

@@ -120,3 +120,26 @@ def test_non_integer_thread_count_is_a_usage_error(monkeypatch, capsys):
         main(SINGLE_RUN)
     assert exc.value.code == 2
     assert "RDN_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([*SINGLE_RUN, "--seed", "-1"], "seed"),
+        (["--table1", "--max-dim", "0", "--quiet"], "max_dim"),
+        ([*SINGLE_RUN, "--out", "{missing}/r.csv"], "--out"),
+        ([*SINGLE_RUN, "--trace", "{missing}/t.csv"], "--trace"),
+        ([*SINGLE_RUN, "--out", "{here}"], "directory"),
+    ],
+    ids=["seed", "max-dim", "out", "trace", "out-is-a-directory"],
+)
+def test_bad_input_fails_before_any_run(argv, message, tmp_path, monkeypatch, capsys):
+    def no_runs(*args, **kwargs):
+        raise AssertionError("ran the grid")
+
+    monkeypatch.setattr("rdn.cli.run_grid", no_runs)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(missing=tmp_path / "missing", here=tmp_path) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err

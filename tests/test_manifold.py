@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -309,3 +312,95 @@ class TestSpectralSeam:
         assert np.allclose(dense.matrix, p.matrix, rtol=0, atol=1e-13)
         again = dense.to_spectral()
         assert again.eigen is dense.eigen and again.matrix is dense.matrix
+
+
+def _eager_random_spd(dim, low, high, seed):
+    """random_spd's recipe with the basis drawn at once: the spectrum, then
+    the sign-fixed QR frame of a Gaussian matrix from the same generator."""
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.uniform(low, high, size=dim))
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q = q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
+    return lam, q, symmetrize((q * lam) @ q.T)
+
+
+class TestLazyStart:
+    @pytest.mark.parametrize("dim,seed", [(1, 0), (2, 5), (7, 11), (100, 48453), (250, 3)])
+    def test_matches_the_eager_recipe(self, dim, seed):
+        lam, q, m = _eager_random_spd(dim, 1.0, 10.0, seed)
+        p = random_spd(dim, 1.0, 10.0, seed=seed)
+        assert p.frame is None and not p.spectral
+        assert np.array_equal(p.spectrum, lam)
+        assert np.array_equal(p.matrix, m)
+        assert np.array_equal(p.eigen.values, lam) and np.array_equal(p.eigen.vectors, q)
+        # Eigendecomposition first, then through the spectral form.
+        other = random_spd(dim, 1.0, 10.0, seed=seed)
+        assert np.array_equal(other.eigen.vectors, q) and np.array_equal(other.matrix, m)
+        spectral = random_spd(dim, 1.0, 10.0, seed=seed).to_spectral()
+        assert np.array_equal(spectral.frame[1], q) and np.array_equal(spectral.matrix, m)
+
+    def test_spectral_form_draws_no_basis(self, monkeypatch):
+        drawn = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: (drawn.append(a.shape), qr(a))[1])
+        p = random_spd(50, 1.0, 10.0, seed=8).to_spectral()
+        step = exp_map(p, SpectralTangent(-0.1 * p.spectrum))
+        assert p.spectral and step.spectral and p.dim == step.dim == 50 and drawn == []
+        assert step.frame[1] is p.frame[1] and drawn == [(50, 50)]
+        assert p.to_dense().eigen is p.eigen and drawn == [(50, 50)]
+
+    def test_threads_reading_one_fresh_point_agree(self, monkeypatch):
+        drawn = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: (drawn.append(1), qr(a))[1])
+        p = random_spd(200, 1.0, 10.0, seed=4)
+        workers = 6  # more than the cores of a small machine
+        barrier = threading.Barrier(workers)
+        seen = [None] * workers
+
+        def read(i):
+            barrier.wait(timeout=10)
+            seen[i] = p.matrix
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert drawn == [1]  # the basis is drawn once
+        expected = _eager_random_spd(200, 1.0, 10.0, 4)[2]
+        assert all(np.array_equal(m, expected) for m in seen)
+
+    def test_to_dense_gives_back_the_arrays_made_spectral(self):
+        p = SpdPoint(random_spd(5, 1.0, 10.0, seed=2).matrix)
+        spectral = p.to_spectral()
+        back = spectral.to_dense()
+        assert back.frame is None and not back.spectral
+        assert back.matrix is p.matrix and back.eigen is p.eigen
+        start = random_spd(5, 1.0, 10.0, seed=2)
+        back = start.to_spectral().to_dense()
+        assert back.eigen is start.eigen and np.array_equal(back.matrix, start.matrix)
+        # The spectral form shares the start's own factorization, not one
+        # rebuilt from its frame: the basis copy that rebuild makes holds the
+        # same values in another memory layout, and the dense route's products
+        # then round differently (f2 0.01 n=100 damped seed 48453, start range
+        # 1,10, on one OpenBLAS thread: GE 18 instead of 19).
+        fresh = random_spd(5, 1.0, 10.0, seed=2)
+        assert fresh.to_spectral().eigen is fresh.eigen
+
+    def test_matrix_is_formed_from_the_ascending_factorization(self):
+        # A spectral step can reorder the frame; its matrix is still the one
+        # its dense form holds, so reading it first changes nothing.
+        basis = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))[0]
+        values = np.array([3.0, 1.0, 2.0, 6.0, 5.0, 4.0])
+        read_first = SpdPoint.from_frame(values, basis)
+        formed = read_first.matrix
+        dense = SpdPoint.from_frame(values, basis).to_dense()
+        assert np.array_equal(formed, dense.matrix)
+        assert read_first.to_dense().matrix is formed
