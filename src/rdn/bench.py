@@ -143,22 +143,15 @@ def run_grid(specs, max_workers: int | None = None) -> list[ExperimentResult]:
         return list(pool.map(run_experiment, specs))
 
 
-def table1_grid(
-    seed: int,
-    *,
-    max_dim: int | None = None,
-    sigma: float = 1e-4,
-    grad_tol: float = 1e-8,
-    max_iters: int = 500,
-    init_eig_range: tuple[float, float] = (1.0, 10.0),
-) -> list[ExperimentSpec]:
+def table1_grid(seed: int, *, max_dim: int | None = None, **settings) -> list[ExperimentSpec]:
     """The built-in benchmark grid: both families, three ratios each, dims
     1/100/1000, full and damped methods (36 specs, two per grid cell).
 
     Row i draws seed ``seed + i``; the index runs over the unfiltered grid so
     a seed stays attached to its (family, ratio, dim, method) cell no matter
     how ``max_dim`` trims the list.  A ``max_dim`` below 1 would trim every
-    cell and is rejected.
+    cell and is rejected.  ``settings`` (sigma, grad_tol, max_iters,
+    init_eig_range) go to every ExperimentSpec unchanged.
     """
     if max_dim is not None and max_dim < 1:
         raise ValueError(f"max_dim must be >= 1, got {max_dim}")
@@ -169,19 +162,7 @@ def table1_grid(
             for dim in TABLE1_DIMS:
                 for method in (Method.FULL, Method.DAMPED):
                     if max_dim is None or dim <= max_dim:
-                        specs.append(
-                            ExperimentSpec(
-                                family=family,
-                                ratio=ratio,
-                                dim=dim,
-                                method=method,
-                                seed=seed + index,
-                                sigma=sigma,
-                                grad_tol=grad_tol,
-                                max_iters=max_iters,
-                                init_eig_range=init_eig_range,
-                            )
-                        )
+                        specs.append(ExperimentSpec(family, ratio, dim, method, seed + index, **settings))
                     index += 1
     return specs
 

@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the built-in 18-cell benchmark grid with both methods",
     )
-    parser.add_argument("--max-dim", type=int, help="drop grid cells above this dimension")
+    parser.add_argument("--max-dim", type=int, help="drop grid cells above this dimension (--table1 only)")
     parser.add_argument(
         "--wall-times",
         action="store_true",
@@ -83,6 +83,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.table1 and args.trace:
         parser.error("--trace requires a single run, not --table1")
     if not args.table1:
+        if args.max_dim is not None:
+            parser.error("--max-dim trims the --table1 grid, not a single run")
         missing = [
             name
             for name, value in (
@@ -95,32 +97,17 @@ def main(argv: list[str] | None = None) -> int:
         ]
         if missing:
             parser.error(f"{' '.join(missing)} required (or use --table1)")
+    settings = dict(
+        sigma=args.sigma, grad_tol=args.tol, max_iters=args.max_iters, init_eig_range=args.init_range
+    )
     # Specs validate their values; a bad one is a usage error, not a failed run.
     try:
         workers = _worker_count()
         if args.table1:
-            specs = table1_grid(
-                args.seed,
-                max_dim=args.max_dim,
-                sigma=args.sigma,
-                grad_tol=args.tol,
-                max_iters=args.max_iters,
-                init_eig_range=args.init_range,
-            )
+            specs = table1_grid(args.seed, max_dim=args.max_dim, **settings)
         else:
-            specs = [
-                ExperimentSpec(
-                    family=Family(args.family),
-                    ratio=args.ratio,
-                    dim=args.dim,
-                    method=Method(args.method),
-                    seed=args.seed,
-                    sigma=args.sigma,
-                    grad_tol=args.tol,
-                    max_iters=args.max_iters,
-                    init_eig_range=args.init_range,
-                )
-            ]
+            family, method = Family(args.family), Method(args.method)
+            specs = [ExperimentSpec(family, args.ratio, args.dim, method, args.seed, **settings)]
     except ValueError as err:
         parser.error(str(err))
     # Fail before the runs, not after them, when an output cannot be written.

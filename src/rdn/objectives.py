@@ -167,11 +167,16 @@ def merit_value(obj: Objective, p: SpdPoint) -> float:
 
 
 def merit_gradient(obj: Objective, p: SpdPoint) -> np.ndarray:
-    """grad phi(P): a b I - b^2 P^{-1} (family one), b^2 P^3 - a b P^2 (family two)."""
-    a, b = obj.a, obj.b
-    if obj.family is Family.F1:
-        return symmetrize(a * b * np.eye(p.dim) - b**2 * p.inv())
-    return symmetrize(b**2 * p.power(3.0) - a * b * p.power(2.0))
+    """grad phi(P): a b I - b^2 P^{-1} (family one), b^2 P^3 - a b P^2 (family two).
+
+    The coefficients are numpy floats, so b^2 beyond the float range gives
+    inf entries (and the solver a failure status) instead of an OverflowError.
+    """
+    a, b = np.float64(obj.a), np.float64(obj.b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if obj.family is Family.F1:
+            return symmetrize(a * b * np.eye(p.dim) - b**2 * p.inv())
+        return symmetrize(b**2 * p.power(3.0) - a * b * p.power(2.0))
 
 
 def minimizer(obj: Objective, dim: int) -> SpdPoint:
@@ -189,9 +194,9 @@ def _spectral(coeffs: np.ndarray) -> SpectralTangent:
 
 class GradientField:
     """The gradient vector field X = grad f of an objective, packaged with
-    every operation the damped Newton solver needs.
+    the four operations the damped Newton solver calls (``solver.Problem``).
 
-    Any object with the same five methods can be handed to the solver; this
+    Any object with the same four methods can be handed to the solver; this
     class is the concrete instantiation for the two shipped families.  At
     spectral points (``p.spectral``) the field and the Newton direction are
     SpectralTangents, so the solver's steps stay O(n); at dense points they
@@ -222,9 +227,6 @@ class GradientField:
 
     def merit_value(self, p: SpdPoint) -> float:
         return merit_value(self.objective, p)
-
-    def merit_gradient(self, p: SpdPoint) -> np.ndarray:
-        return merit_gradient(self.objective, p)
 
     def fallback_direction(self, p: SpdPoint) -> np.ndarray:
         return -merit_gradient(self.objective, p)

@@ -95,7 +95,10 @@ class DirectionKind(str, Enum):
 class Problem(Protocol):
     """A differentiable vector field X on the cone, with merit phi = ||X||^2/2.
 
-    At spectral points (``p.spectral``) a problem may return SpectralTangents.
+    These four methods are all ``solve`` calls.  ``newton_solve`` raises
+    SingularOperator when the Newton system has no solution, and
+    ``fallback_direction`` is then -grad phi(P).  At spectral points
+    (``p.spectral``) a problem may return SpectralTangents.
     """
 
     def field_value(self, p: SpdPoint) -> np.ndarray: ...
@@ -103,8 +106,6 @@ class Problem(Protocol):
     def newton_solve(self, p: SpdPoint) -> np.ndarray: ...
 
     def merit_value(self, p: SpdPoint) -> float: ...
-
-    def merit_gradient(self, p: SpdPoint) -> np.ndarray: ...
 
     def fallback_direction(self, p: SpdPoint) -> np.ndarray: ...
 
@@ -151,11 +152,15 @@ class SolveTrace:
     records: tuple[IterationRecord, ...]
     status: Status
     nit: int
-    he: int
     ge: int
     elapsed: float
     final_grad_norm: float
     final_merit: float
+
+    @property
+    def he(self) -> int:
+        """Hessian evaluations: one Newton solve per committed iteration."""
+        return self.nit
 
 
 def direction(problem: Problem, p: SpdPoint) -> tuple[np.ndarray, DirectionKind]:
@@ -195,21 +200,21 @@ def armijo_stepsize(
     *,
     direction_kind: DirectionKind = DirectionKind.NEWTON,
     merit: float | None = None,
-    slope: float | None = None,
 ) -> ArmijoResult:
     """Backtracking step size: largest 2^-j, j = 0..max_backtracks, with
     sufficient merit decrease.  The full step j = 0 is always tried first.
 
-    ``merit`` is phi(P) and ``slope`` is <grad phi(P), v>; both are computed
-    if omitted.  For Newton directions the slope equals -2 phi(P) exactly and
-    the test is applied as phi(exp_P(t v)) <= (1 - 2 sigma t) phi(P).  Trial
-    points whose exponential overflows are rejected without a merit
-    evaluation; ``evaluations`` counts the merit evaluations performed.
+    ``merit`` is phi(P), computed if omitted.  The slope <grad phi(P), v>
+    needs no gradient: for Newton directions it equals -2 phi(P) exactly and
+    the test is applied as phi(exp_P(t v)) <= (1 - 2 sigma t) phi(P); for the
+    gradient fallback v = -grad phi(P), so it is -<v, v>_P.  Trial points
+    whose exponential overflows are rejected without a merit evaluation;
+    ``evaluations`` counts the merit evaluations performed.
     """
     if merit is None:
         merit = problem.merit_value(p)
-    if direction_kind is not DirectionKind.NEWTON and slope is None:
-        slope = inner(p, problem.merit_gradient(p), v)
+    if direction_kind is not DirectionKind.NEWTON:
+        slope = -inner(p, v, v)
     evaluations = 0
     for j in range(max_backtracks + 1):
         t = 2.0**-j
@@ -270,7 +275,6 @@ def solve(
     p = _spectral_form(p0)
     handed_over = False
     records: list[IterationRecord] = []
-    he = 0
     ge = 0
     k = 0
     final_grad_norm = math.nan
@@ -308,9 +312,6 @@ def solve(
                 nxt = exp_map(p, v)
                 alpha, backtracks, trial_evals = 1.0, 0, 0
             else:
-                slope = None
-                if kind is DirectionKind.GRADIENT_FALLBACK:
-                    slope = -inner(p, v, v)  # v = -grad phi(P)
                 result = armijo_stepsize(
                     problem,
                     p,
@@ -319,7 +320,6 @@ def solve(
                     config.max_backtracks,
                     direction_kind=kind,
                     merit=merit,
-                    slope=slope,
                 )
                 if not result.accepted:
                     status = Status.LINE_SEARCH_FAILED
@@ -332,7 +332,6 @@ def solve(
         except (StepOverflow, InvalidPoint, SpectrumDomainError, InvalidMatrix):
             status = Status.STEP_OVERFLOW
             break
-        he += 1
         ge += 1 + trial_evals
         records.append(
             IterationRecord(
@@ -358,7 +357,6 @@ def solve(
         records=tuple(records),
         status=status,
         nit=len(records),
-        he=he,
         ge=ge,
         elapsed=elapsed,
         final_grad_norm=final_grad_norm,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rdn.bench import (
     RESULT_HEADER,
@@ -210,3 +211,31 @@ def test_spectral_run_at_n1000_factorizes_nothing(monkeypatch):
     assert result.status == Status.CONVERGED.value and result.nit > 0
     assert 0.0 <= result.final_dist_to_star < 1e-6
     assert calls == []
+
+
+@given(
+    family=st.sampled_from(list(Family)),
+    method=st.sampled_from(list(Method)),
+    log_ratio=st.floats(-300.0, 300.0),
+    dim=st.integers(1, 20),
+    seed=st.integers(0, 10**6),
+    log_low=st.floats(-2.0, 2.0),
+    log_width=st.floats(0.0, 2.0),
+)
+@example(family=Family.F2, method=Method.DAMPED, log_ratio=200.0, dim=3, seed=0, log_low=0.0, log_width=1.0)
+@settings(deadline=None, max_examples=60)
+def test_hostile_ratios_end_in_a_status(family, method, log_ratio, dim, seed, log_low, log_width):
+    # Extreme but valid coefficients end in a status, never in an exception.
+    low = 10.0**log_low
+    result = run_experiment(
+        spec(
+            family=family,
+            ratio=10.0**log_ratio,
+            dim=dim,
+            method=method,
+            seed=seed,
+            init_eig_range=(low, low * 10.0**log_width),
+        )
+    )
+    assert result.status in {s.value for s in Status}
+    assert result.nit == len(result.trace.records)

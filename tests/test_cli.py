@@ -2,6 +2,7 @@ import pytest
 
 from rdn.bench import RESULT_HEADER, TRACE_HEADER
 from rdn.cli import main
+from rdn.solver import Status
 
 
 def test_single_run_converges(tmp_path, capsys):
@@ -130,8 +131,9 @@ def test_non_integer_thread_count_is_a_usage_error(monkeypatch, capsys):
         ([*SINGLE_RUN, "--out", "{missing}/r.csv"], "--out"),
         ([*SINGLE_RUN, "--trace", "{missing}/t.csv"], "--trace"),
         ([*SINGLE_RUN, "--out", "{here}"], "directory"),
+        ([*SINGLE_RUN, "--max-dim", "5"], "--max-dim"),
     ],
-    ids=["seed", "max-dim", "out", "trace", "out-is-a-directory"],
+    ids=["seed", "max-dim", "out", "trace", "out-is-a-directory", "max-dim-without-table1"],
 )
 def test_bad_input_fails_before_any_run(argv, message, tmp_path, monkeypatch, capsys):
     def no_runs(*args, **kwargs):
@@ -143,3 +145,15 @@ def test_bad_input_fails_before_any_run(argv, message, tmp_path, monkeypatch, ca
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and message in err
+
+
+def test_overflowing_merit_gradient_is_a_status_row(tmp_path, capsys):
+    # b^2 overflows in the merit gradient once the run falls back to it.
+    out = tmp_path / "r.csv"
+    code = main(["--family", "f2", "--ratio", "1e200", "--dim", "3", "--method", "damped", "--out", str(out)])
+    assert code == 1
+    header, row = out.read_text().splitlines()
+    status = row.split(",")[header.split(",").index("status")]
+    assert status in (Status.LINE_SEARCH_FAILED.value, Status.STEP_OVERFLOW.value)
+    captured = capsys.readouterr()
+    assert status in captured.out and captured.err == ""

@@ -183,6 +183,18 @@ class TestMerit:
         g = merit_gradient(Objective(F2, 1.0, 1.0), SpdPoint(np.array([[2.0]])))
         assert g[0, 0] == pytest.approx(4.0)  # b^2 p^3 - a b p^2 = 8 - 4
 
+    @pytest.mark.parametrize("family", [F1, F2])
+    def test_gradient_past_the_float_range_is_not_finite(self, family):
+        p = random_spd(3, 1.0, 2.0, seed=3)
+        for b in (0.1, 1e100, 1e150):  # b^2 finite: the Python-float formula's bits
+            a = 1.0
+            if family is F1:
+                want = symmetrize(a * b * np.eye(3) - b**2 * p.inv())
+            else:
+                want = symmetrize(b**2 * p.power(3.0) - a * b * p.power(2.0))
+            assert np.array_equal(merit_gradient(Objective(family, a, b), p), want)
+        assert not np.all(np.isfinite(merit_gradient(Objective(family, 1.0, 1e200), p)))
+
     @pytest.mark.parametrize("obj", objective_cases())
     def test_value_is_half_squared_field_norm(self, obj):
         p = random_spd(6, 0.5, 3.0, seed=31)

@@ -11,6 +11,7 @@ from rdn.solver import (
     ArmijoResult,
     DirectionKind,
     Method,
+    Problem,
     SolverConfig,
     Status,
     armijo_stepsize,
@@ -70,6 +71,25 @@ class FlatMeritField:
 
     def fallback_direction(self, p):
         return np.zeros((p.dim, p.dim))
+
+
+class FourMethodField:
+    """ConstantField with only the four methods of ``Problem``."""
+
+    def __init__(self, c):
+        self.c = symmetrize(c)
+
+    def field_value(self, p):
+        return self.c
+
+    def newton_solve(self, p):
+        raise SingularOperator("derivative has no inverse")
+
+    def merit_value(self, p):
+        return 0.5 * inner(p, self.c, self.c)
+
+    def fallback_direction(self, p):
+        return symmetrize(self.c @ p.inv() @ self.c)
 
 
 class RejectingMerit(GradientField):
@@ -279,3 +299,29 @@ class TestSolve:
         obj = Objective(Family.F1, 1.0, 0.1)
         _, trace = solve(GradientField(obj), SpdPoint(np.array([[2.0]])), SolverConfig())
         assert trace.elapsed > 0.0
+
+
+class TestFourMethodProtocol:
+    def test_protocol_holds_what_solve_calls(self):
+        methods = {name for name in vars(Problem) if not name.startswith("_")}
+        assert methods == {"field_value", "newton_solve", "merit_value", "fallback_direction"}
+
+    def test_armijo_needs_no_merit_gradient(self):
+        problem = FourMethodField(np.eye(3))
+        p = random_spd(3, 1.0, 2.0, seed=5)
+        v = problem.fallback_direction(p)
+        merit = problem.merit_value(p)
+        res = armijo_stepsize(
+            problem, p, v, sigma=1e-4, direction_kind=DirectionKind.GRADIENT_FALLBACK
+        )
+        assert res.accepted
+        assert res.merit <= merit - 1e-4 * res.alpha * inner(p, v, v)
+
+    def test_solve_runs_the_gradient_fallback(self):
+        p0 = random_spd(3, 1.0, 2.0, seed=5)
+        cfg = SolverConfig(max_iters=12)
+        _, trace = solve(FourMethodField(np.eye(3)), p0, cfg)
+        _, full = solve(ConstantField(np.eye(3)), p0, cfg)
+        assert trace.status is Status.MAX_ITERS
+        assert all(r.direction_kind is DirectionKind.GRADIENT_FALLBACK for r in trace.records)
+        assert trace.records == full.records and trace.ge == full.ge
