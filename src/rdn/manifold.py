@@ -372,18 +372,20 @@ def exp_map(p: SpdPoint, v: np.ndarray) -> SpdPoint:
         return SpdPoint._from_spectrum(values, None, p._basis)
     v = _tangent_at(p, v)
     lam = p.eigen.values
-    whitened_bound = float(np.linalg.norm(v, "fro")) / float(lam[0])
-    if whitened_bound <= _EXP_SERIES_CUTOFF:
-        out = symmetrize(p.matrix + v + 0.5 * (v @ p.inv() @ v))
-    else:
-        s = p.sqrt()
-        si = p.inv_sqrt()
-        m = symmetrize(si @ v @ si)
-        try:
-            e = mat_func(m, np.exp)
-        except (SpectrumDomainError, InvalidMatrix) as err:
-            raise StepOverflow("exponential of the whitened step is not finite") from err
-        out = symmetrize(s @ e @ s)
+    # Overflow here is reported by the finiteness check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        whitened_bound = float(np.linalg.norm(v, "fro")) / float(lam[0])
+        if whitened_bound <= _EXP_SERIES_CUTOFF:
+            out = symmetrize(p.matrix + v + 0.5 * (v @ p.inv() @ v))
+        else:
+            s = p.sqrt()
+            si = p.inv_sqrt()
+            m = symmetrize(si @ v @ si)
+            try:
+                e = mat_func(m, np.exp)
+            except (SpectrumDomainError, InvalidMatrix) as err:
+                raise StepOverflow("exponential of the whitened step is not finite") from err
+            out = symmetrize(s @ e @ s)
     if not np.all(np.isfinite(out)):
         raise StepOverflow("exponential-map result has non-finite entries")
     try:
@@ -402,20 +404,29 @@ def needs_dense(p: SpdPoint, v: np.ndarray | SpectralTangent, steps: np.ndarray)
     beyond 1e100 in magnitude (eigenvalues also below 1e-100).  The solver
     then continues from ``p.to_dense()``.  Non-finite trials need no
     hand-over: both routes reject them as overflowing.
+
+    Only the first finite trial, largest step first, is formed: the log of
+    a trial eigenvalue, log lambda + t c / lambda, is affine in t, so the
+    log-spread is concave and log lambda_max convex in t, and each bound,
+    like finiteness, holds on an interval of steps starting at t = 0.  A
+    trial inside the bounds therefore vouches for every smaller step.
     """
     if not isinstance(v, SpectralTangent):
         return False
     values = p.spectrum
-    if np.max(np.abs(v.coeffs)) > _HANDOVER_SCALE:
+    if _outside_handover_range(values) or np.max(np.abs(v.coeffs)) > _HANDOVER_SCALE:
         return True
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        trials = values * np.exp(np.multiply.outer(steps, v.coeffs) / values)
-        points = np.vstack([values, trials])
-        low, high = points.min(axis=1), points.max(axis=1)
-        spread_ok = low / high >= _HANDOVER_SPREAD
-        inside = spread_ok & (low >= 1.0 / _HANDOVER_SCALE) & (high <= _HANDOVER_SCALE)
-    finite = np.all(np.isfinite(points), axis=1)
-    return bool(np.any(finite & ~inside))
+        for t in steps:
+            trial = values * np.exp(t * v.coeffs / values)
+            if np.all(np.isfinite(trial)):
+                return _outside_handover_range(trial)
+    return False
+
+
+def _outside_handover_range(values: np.ndarray) -> bool:
+    low, high = np.min(values), np.max(values)
+    return not (low / high >= _HANDOVER_SPREAD and low >= 1.0 / _HANDOVER_SCALE and high <= _HANDOVER_SCALE)
 
 
 def _scalar_coefficient(p: SpdPoint) -> float | None:

@@ -279,7 +279,8 @@ def solve(
     k = 0
     final_grad_norm = math.nan
     final_merit = math.nan
-    # Step sizes a line search may try: the hand-over check covers all of them.
+    # Step sizes a line search may try, largest first; the hand-over check
+    # reads the first whose trial is finite.
     if config.method is Method.DAMPED:
         trial_steps = np.ldexp(1.0, -np.arange(config.max_backtracks + 1))
     else:

@@ -223,6 +223,7 @@ def test_spectral_run_at_n1000_factorizes_nothing(monkeypatch):
     log_width=st.floats(0.0, 2.0),
 )
 @example(family=Family.F2, method=Method.DAMPED, log_ratio=200.0, dim=3, seed=0, log_low=0.0, log_width=1.0)
+@example(family=Family.F1, method=Method.DAMPED, log_ratio=-300.0, dim=3, seed=0, log_low=0.0, log_width=1.0)
 @settings(deadline=None, max_examples=60)
 def test_hostile_ratios_end_in_a_status(family, method, log_ratio, dim, seed, log_low, log_width):
     # Extreme but valid coefficients end in a status, never in an exception.

@@ -314,6 +314,77 @@ class TestSpectralSeam:
         assert again.eigen is dense.eigen and again.matrix is dense.matrix
 
 
+_TRIAL_STEPS = np.ldexp(1.0, -np.arange(61))
+
+
+def _needs_dense_by_scan(p, v, steps):
+    """The hand-over rule applied to the iterate and every trial step at once:
+    the reference for needs_dense, which forms only the first finite trial."""
+    values = p.spectrum
+    if np.max(np.abs(v.coeffs)) > 1e100:
+        return True
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        trials = values * np.exp(np.multiply.outer(steps, v.coeffs) / values)
+        points = np.vstack([values, trials])
+        low, high = points.min(axis=1), points.max(axis=1)
+        inside = (low / high >= 1e-13) & (low >= 1e-100) & (high <= 1e100)
+    finite = np.all(np.isfinite(points), axis=1)
+    return bool(np.any(finite & ~inside))
+
+
+def _near_a_bound(values, ulps=64):
+    """Whether the spread, the least or the greatest eigenvalue lies within
+    ``ulps`` units in the last place of its hand-over bound."""
+    low, high = np.min(values), np.max(values)
+    pairs = ((low / high, 1e-13), (low, 1e-100), (high, 1e100))
+    return any(abs(x / bound - 1.0) <= ulps * 2.0**-52 for x, bound in pairs)
+
+
+@st.composite
+def _iterates_and_directions(draw):
+    """A spectrum in 10^[-110, 110] of at most six values spread over at most
+    fourteen decades, and coefficients whose whitened values c / lambda range
+    from 1e-20 to 1e22 in magnitude, so that some trials overflow."""
+    n = draw(st.integers(1, 6))
+    floats = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+    centre, width = draw(st.floats(-110.0, 110.0)), draw(st.floats(0.0, 14.0))
+    values = 10.0 ** np.clip(centre + width * np.array(draw(floats(0.0, 1.0))), -110.0, 110.0)
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    return values, values * signs * 10.0 ** np.array(draw(floats(-20.0, 22.0)))
+
+
+def _bits_to_float(bits):
+    return float(np.int64(bits).view(np.float64))
+
+
+@given(_iterates_and_directions(), st.booleans())
+@settings(deadline=None, max_examples=300)
+def test_needs_dense_agrees_with_the_scan_of_every_trial(case, aim):
+    values, coeffs = case
+    p = SpdPoint.from_frame(values, np.eye(values.size))
+    scan = lambda scale: _needs_dense_by_scan(p, SpectralTangent(scale * coeffs), _TRIAL_STEPS)
+    scales = [1.0]
+    if aim and scan(1.0) and not scan(0.0):
+        # Bisect the direction's length over the bit patterns of [0, 1] down to
+        # two adjacent floats on which the scan's answer flips: there the
+        # deciding trial or coefficient sits within rounding of its bound.
+        lo, hi = 0, int(np.float64(1.0).view(np.int64))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if scan(_bits_to_float(mid)) else (mid, hi)
+        scales += [_bits_to_float(lo), _bits_to_float(hi)]
+    for scale in scales:
+        got, want = needs_dense(p, SpectralTangent(scale * coeffs), _TRIAL_STEPS), scan(scale)
+        # needs_dense reads a subset of the scan's rows, so it never hands over
+        # where the scan does not.  The converse rests on each bound holding on
+        # an interval of steps from t = 0, which rounding can break only by an
+        # ulp or two: an iterate lying on a bound, such as the spread 1e-13 of
+        # [1, 1e13], may have smaller trials that rounding puts across it.
+        assert want or not got
+        if not _near_a_bound(values):
+            assert got == want, (values, scale * coeffs)
+
+
 def _eager_random_spd(dim, low, high, seed):
     """random_spd's recipe with the basis drawn at once: the spectrum, then
     the sign-fixed QR frame of a Gaussian matrix from the same generator."""
