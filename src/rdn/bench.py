@@ -125,9 +125,12 @@ def _worker_count() -> int:
     env = os.environ.get("RDN_THREADS", "").strip()
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            raise ValueError(f"RDN_THREADS must be an integer, got {env!r}") from None
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"RDN_THREADS must be a positive integer, got {env!r}")
+        return workers
     return max(1, os.cpu_count() or 1)
 
 

@@ -10,12 +10,12 @@ Full grid (both families, ratios 0.1/1.0/1.5 and 0.001/0.002/0.01, dims
 
     rdn-bench --table1 --max-dim 100 --seed 42 --out table1.csv
 
-Exit code is 0 iff every requested run converged; invalid arguments (and a
-non-integer RDN_THREADS, or an output path that is a directory or lies in a
-missing one) exit with 2 and a usage message before any run.  The CSV keeps its
-wall-clock column at 0.0 unless --wall-times is given, so identical
-invocations produce byte-identical files; measured times are always printed
-in the per-run summary.
+Exit code is 0 iff every requested run converged; invalid arguments (and an
+RDN_THREADS that is not a positive integer, or an output path that is a
+directory or lies in a missing one) exit with 2 and a usage message before any
+run.  The CSV keeps its wall-clock column at 0.0 unless --wall-times is given,
+so identical invocations produce byte-identical files; measured times are
+always printed in the per-run summary.
 """
 
 from __future__ import annotations

@@ -35,10 +35,12 @@ the factorization the dense route cached, and whose ``to_dense`` hands the
 same arrays back).
 
 Lazy bases.  ``random_spd`` draws the spectrum at once but the basis (a QR
-factorization) only when something reads it: the matrix, the
-eigendecomposition or a spectral point's ``frame``.  The hot paths read
-eigenvalues through ``spectrum`` and test for the spectral form with
-``spectral``, neither of which draws it, so a run that stays spectral
+factorization) only when something reads it.  Its factorization is an
+EigenPair whose ``vectors`` are drawn on first read, and its spectral form
+holds that same pair as its frame's basis: the matrix, ``eigen.vectors`` and
+a spectral point's ``frame`` draw it, ``eigen.values`` does not.  The hot
+paths read eigenvalues through ``spectrum`` and test for the spectral form
+with ``spectral``, neither of which draws it, so a run that stays spectral
 factorizes nothing.
 """
 
@@ -92,28 +94,28 @@ def _spread(values: np.ndarray) -> float:
     return float(np.min(values) / np.max(values))
 
 
-class _LazyPair:
-    """EigenPair(values, basis) whose basis is made on first use.
+class _LazyPair(EigenPair):
+    """EigenPair(values, basis) whose ``vectors`` are made on first read.
 
     ``make_basis`` runs once, under a lock, so a point shared between threads
     pays for its basis once; it must give the same bits whenever it runs
-    (``random_spd`` draws from a copy of the generator's state).
+    (``random_spd`` draws from a copy of the generator's state).  Reading
+    ``values`` draws nothing.
     """
 
-    __slots__ = ("values", "_make_basis", "_pair", "_lock")
-
     def __init__(self, values: np.ndarray, make_basis: Callable[[], np.ndarray]):
-        self.values = values
+        object.__setattr__(self, "values", values)  # a frozen field
         self._make_basis = make_basis
-        self._pair: EigenPair | None = None
+        self._basis: np.ndarray | None = None
         self._lock = threading.Lock()
 
-    def pair(self) -> EigenPair:
-        if self._pair is None:
+    @property
+    def vectors(self) -> np.ndarray:
+        if self._basis is None:
             with self._lock:
-                if self._pair is None:
-                    self._pair = EigenPair(values=self.values, vectors=self._make_basis())
-        return self._pair
+                if self._basis is None:
+                    self._basis = self._make_basis()
+        return self._basis
 
 
 class SpdPoint:
@@ -129,8 +131,8 @@ class SpdPoint:
     use, so points are safe to share between threads.
     """
 
-    # _values/_basis: the frame of a spectral point (the basis an ndarray, or
-    # the _LazyPair of a random start whose basis is not drawn yet).
+    # _values/_basis: the frame of a spectral point, its basis held as the
+    # EigenPair it came from (possibly a random start's, not drawn yet).
     __slots__ = ("_matrix", "_eigen", "_values", "_basis")
 
     def __init__(self, matrix: np.ndarray, *, eigen: EigenPair | None = None):
@@ -152,13 +154,10 @@ class SpdPoint:
 
     @classmethod
     def _from_spectrum(
-        cls,
-        values: np.ndarray,
-        eigen: EigenPair | _LazyPair | None,
-        basis: np.ndarray | _LazyPair | None,
+        cls, values: np.ndarray, eigen: EigenPair | None, basis: EigenPair | None
     ) -> "SpdPoint":
-        """A point without its matrix: spectral when ``basis`` is given, else
-        dense with the (possibly lazy) factorization ``eigen``."""
+        """A point without its matrix: spectral on the vectors of ``basis``
+        when given, else dense with the (possibly lazy) factorization ``eigen``."""
         if not (np.all(np.isfinite(values)) and np.min(values) > 0.0):
             raise InvalidPoint("spectrum is not finite and strictly positive")
         point = object.__new__(cls)
@@ -172,7 +171,7 @@ class SpdPoint:
     def from_frame(cls, values: np.ndarray, basis: np.ndarray) -> "SpdPoint":
         """Spectral point basis diag(values) basis^T, ``basis`` orthogonal and
         ``values`` in the order of its columns, finite and strictly positive."""
-        return cls._from_spectrum(values, None, basis)
+        return cls._from_spectrum(values, None, EigenPair(values=values, vectors=basis))
 
     @property
     def spectral(self) -> bool:
@@ -183,11 +182,7 @@ class SpdPoint:
     def frame(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(values, basis) with P = basis diag(values) basis^T on spectral
         points, else None.  Reading it draws a lazy basis."""
-        if self._basis is None:
-            return None
-        if isinstance(self._basis, _LazyPair):
-            self._basis = self._basis.pair().vectors
-        return self._values, self._basis
+        return None if self._basis is None else (self._values, self._basis.vectors)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -208,56 +203,46 @@ class SpdPoint:
 
     @property
     def eigen(self) -> EigenPair:
-        """Cached spectral factorization; computed once, reused everywhere."""
-        pair = self._eigen
-        if not isinstance(pair, EigenPair):
-            if pair is not None:
-                pair = pair.pair()
-            elif self._basis is not None:
+        """Cached spectral factorization; computed once, reused everywhere.
+        A random start's is lazy: reading its ``values`` draws no basis."""
+        if self._eigen is None:
+            if self._basis is not None:
                 values, basis = self.frame
                 order = np.argsort(values, kind="stable")
-                pair = EigenPair(values=values[order], vectors=basis[:, order])
+                self._eigen = EigenPair(values=values[order], vectors=basis[:, order])
             else:
                 pair = sym_eigen(self.matrix)
                 if float(pair.values[0]) <= 0.0:
                     # Cholesky can accept matrices whose smallest eigenvalues sit
                     # below the rounding floor of the largest; reject them here.
                     raise InvalidPoint("matrix is not numerically positive definite")
-            self._eigen = pair
-        return pair
+                self._eigen = pair
+        return self._eigen
 
     @property
     def spectrum(self) -> np.ndarray:
         """The eigenvalues, in frame order for spectral points; reading them
         draws no lazy basis."""
-        if self._values is not None:
-            return self._values
-        return (self._eigen if self._eigen is not None else self.eigen).values
+        return self._values if self._values is not None else self.eigen.values
 
     def to_spectral(self) -> "SpdPoint":
         """The same point in spectral form on its eigendecomposition, sharing
         its cached matrix and factorization (a random start's basis stays
         undrawn)."""
-        if self._basis is not None:
-            return self
-        if isinstance(self._eigen, _LazyPair):
-            pair, basis = self._eigen, self._eigen
-        else:
-            pair = self.eigen
-            basis = pair.vectors
-        point = SpdPoint._from_spectrum(pair.values, pair, basis)
-        point._matrix = self._matrix
-        return point
+        return self if self.spectral else self._on_eigen(spectral=True)
 
     def to_dense(self) -> "SpdPoint":
-        """The same point held densely, on the cached matrix and ascending
-        factorization: a point made by ``to_spectral`` gives back the arrays
-        of the dense point it was made from."""
-        if self._basis is None:
-            return self
+        """The same point held densely, on the ascending factorization and
+        the matrix if formed: a point made by ``to_spectral`` gives back the
+        arrays of the dense point it was made from."""
+        return self._on_eigen(spectral=False) if self.spectral else self
+
+    def _on_eigen(self, spectral: bool) -> "SpdPoint":
+        """The point rebuilt on ``eigen``, spectral with it as its frame or
+        dense, sharing the matrix (which may still be unformed)."""
         pair = self.eigen
-        point = SpdPoint._from_spectrum(pair.values, pair, None)
-        point._matrix = self.matrix
+        point = SpdPoint._from_spectrum(pair.values, pair, pair if spectral else None)
+        point._matrix = self._matrix
         return point
 
     def power(self, t: float) -> np.ndarray:
@@ -472,8 +457,8 @@ def random_spd(dim: int, eig_low: float, eig_high: float, seed: int) -> SpdPoint
     The spectrum is drawn first, then an orthogonal frame from the sign-fixed
     QR factorization of a Gaussian matrix.  Identical arguments give bitwise
     identical points.  The frame is drawn, from a copy of the generator's
-    state, only when the basis is first read (``matrix``, ``eigen`` or the
-    ``frame`` of a spectral form), so a run that stays on the spectral route
+    state, only when the basis is first read (``matrix``, ``eigen.vectors`` or
+    the ``frame`` of a spectral form), so a run that stays on the spectral route
     never pays for the QR; the matrix is formed on first use.
     """
     if dim < 1:

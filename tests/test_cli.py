@@ -123,6 +123,15 @@ def test_non_integer_thread_count_is_a_usage_error(monkeypatch, capsys):
     assert "RDN_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_thread_count_below_one_is_a_usage_error(monkeypatch, capsys, threads):
+    monkeypatch.setenv("RDN_THREADS", threads)
+    with pytest.raises(SystemExit) as exc:
+        main(SINGLE_RUN)
+    assert exc.value.code == 2
+    assert "RDN_THREADS" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

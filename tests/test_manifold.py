@@ -420,6 +420,18 @@ class TestLazyStart:
         assert step.frame[1] is p.frame[1] and drawn == [(50, 50)]
         assert p.to_dense().eigen is p.eigen and drawn == [(50, 50)]
 
+    def test_lazy_factorization_draws_only_for_its_vectors(self, monkeypatch):
+        drawn = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: (drawn.append(a.shape), qr(a))[1])
+        p = random_spd(50, 1.0, 10.0, seed=8)
+        assert p.eigen.dim == 50 and np.array_equal(p.eigen.values, p.spectrum)
+        assert p.to_spectral().eigen is p.eigen and drawn == []
+        vectors = p.eigen.vectors
+        assert drawn == [(50, 50)]
+        assert p.eigen.vectors is vectors and p.to_spectral().frame[1] is vectors
+        assert p.matrix.shape == (50, 50) and drawn == [(50, 50)]
+
     def test_threads_reading_one_fresh_point_agree(self, monkeypatch):
         drawn = []
         qr = np.linalg.qr

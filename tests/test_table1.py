@@ -1,5 +1,5 @@
 """The paper's table at seed 42: counters pinned, claims checked per cell,
-and the counters' invariance under scaling of the start.
+and the counters' invariance under scaling and rotation of the start.
 
 The pins are independent of ``solve``'s spectral start: a fault in the
 start's factorization would move them, where it would move both sides of
@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rdn
@@ -177,4 +178,21 @@ def test_scaling_the_start_keeps_the_counters(seed, init_range):
             _, got = solve(GradientField(scaled.objective()), SpdPoint.from_frame(c * values, basis), scaled.config())
             if (got.status.value, got.nit, got.ge) != (want.status, want.nit, want.ge):
                 failures.append(f"{spec} at c = 4^{m}: {got.status.value} {got.nit} {got.ge}")
+    assert not failures, "; ".join(failures[:4])
+
+
+@pytest.mark.parametrize("init_range", ((9.0, 10.0), (1.0, 10.0)), ids=("9,10", "1,10"))
+@pytest.mark.parametrize("seed", (42, 3))
+def test_rotating_the_start_keeps_the_counters(seed, init_range):
+    # Both fields are spectral functions of P, so P0 -> U P0 U^T with U
+    # orthogonal conjugates every iterate alike; the spectral route never
+    # reads the basis, and the runs that hand over must agree as well.
+    failures = []
+    for spec in table1_grid(seed, max_dim=100, init_eig_range=init_range):
+        want = run_experiment(spec)
+        values, basis = random_spd(spec.dim, *init_range, seed=spec.seed).to_spectral().frame
+        u = np.linalg.qr(np.random.default_rng(spec.seed).standard_normal((spec.dim, spec.dim)))[0]
+        _, got = solve(GradientField(spec.objective()), SpdPoint.from_frame(values, u @ basis), spec.config())
+        if (got.status.value, got.nit, got.ge) != (want.status, want.nit, want.ge):
+            failures.append(f"{spec}: {got.status.value} {got.nit} {got.ge}")
     assert not failures, "; ".join(failures[:4])
