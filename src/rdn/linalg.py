@@ -29,12 +29,14 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return (A + A^T)/2 as a new float array.
 
     Addition is commutative in IEEE arithmetic, so the result is exactly
-    symmetric, not just up to rounding.
+    symmetric, not just up to rounding.  Sums beyond the float range come
+    back as inf without a warning; callers that need finite entries check.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.T)
+    with np.errstate(over="ignore"):
+        return 0.5 * (a + a.T)
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ def sym_eigen(a: np.ndarray) -> EigenPair:
 
 
 def mat_func(
-    a: np.ndarray,
+    a: np.ndarray | None,
     f: Callable[[np.ndarray], np.ndarray],
     *,
     eigen: EigenPair | None = None,
@@ -72,7 +74,8 @@ def mat_func(
     Returns Q diag(f(lambda)) Q^T.  ``f`` must be defined (and finite) on
     every eigenvalue; sqrt/log of a non-positive eigenvalue, or overflow of
     exp, raise SpectrumDomainError.  A precomputed ``eigen`` of ``a`` may be
-    supplied to reuse one factorization across several functions.
+    supplied to reuse one factorization across several functions; ``a`` is
+    then not read and may be None.
     """
     pair = sym_eigen(a) if eigen is None else eigen
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -110,8 +113,10 @@ def lyapunov_solve(
     if np.min(np.abs(denom)) <= 1e-14 * scale:
         raise SingularOperator("eigenvalue sum lambda_i + lambda_j vanishes")
     q = pair.vectors
-    w = (q.T @ rhs @ q) / denom
-    return symmetrize(q @ w @ q.T)
+    # An RHS beyond the float range gives non-finite entries, unwarned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (q.T @ rhs @ q) / denom
+        return symmetrize(q @ w @ q.T)
 
 
 def assert_spd(a: np.ndarray, eps: float = 0.0) -> bool:

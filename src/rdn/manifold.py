@@ -11,9 +11,14 @@ under which the cone is complete and the exponential map
 is globally defined: every symmetric step lands back inside the cone, so no
 projection is ever needed.  Geodesic distance is ||log(A^{-1/2} B A^{-1/2})||_F.
 
-Points are immutable and carry a lazily computed eigendecomposition that is
-reused by every operation needing P^{1/2}, P^{-1/2} or P^{-1}; a solver
-iteration therefore pays for a single factorization per point.
+Points are immutable and carry a lazily computed eigendecomposition, from
+which P^{1/2}, P^{-1/2} and P^{-1} are formed once, on first use, and kept.
+Along one dense direction V, exp_P(t V) = P^{1/2} Q diag(e^{t w}) Q^T P^{1/2}
+with (w, Q) the eigenpair of the whitened P^{-1/2} V P^{-1/2} (Pennec,
+Fillard & Ayache, IJCV 66, 2006).  A DenseTangent shares that eigenpair
+among its multiples, so a line search pays for one factorization of the
+whitened direction and one per accepted or evaluated trial point, not one
+per backtrack.
 
 Spectral seam.  A point may instead be held in spectral form, a frame
 (values, basis) with P = basis diag(values) basis^T, and a tangent that
@@ -46,6 +51,7 @@ factorizes nothing.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable
 
@@ -64,6 +70,7 @@ from .linalg import EigenPair, mat_func, sym_eigen, symmetrize
 __all__ = [
     "SpdPoint",
     "SpectralTangent",
+    "DenseTangent",
     "inner",
     "norm",
     "exp_map",
@@ -133,7 +140,9 @@ class SpdPoint:
 
     # _values/_basis: the frame of a spectral point, its basis held as the
     # EigenPair it came from (possibly a random start's, not drawn yet).
-    __slots__ = ("_matrix", "_eigen", "_values", "_basis")
+    # _powers: P^{1/2}, P^{-1/2} and P^{-1} by exponent, once formed; the
+    # dense and the spectral form of one point share the dict.
+    __slots__ = ("_matrix", "_eigen", "_values", "_basis", "_powers")
 
     def __init__(self, matrix: np.ndarray, *, eigen: EigenPair | None = None):
         m = symmetrize(matrix)
@@ -151,6 +160,7 @@ class SpdPoint:
         self._matrix = m
         self._eigen = eigen
         self._values = self._basis = None
+        self._powers = {}
 
     @classmethod
     def _from_spectrum(
@@ -165,6 +175,7 @@ class SpdPoint:
         point._eigen = eigen
         point._values = None if basis is None else values
         point._basis = basis
+        point._powers = {}
         return point
 
     @classmethod
@@ -243,20 +254,30 @@ class SpdPoint:
         pair = self.eigen
         point = SpdPoint._from_spectrum(pair.values, pair, pair if spectral else None)
         point._matrix = self._matrix
+        point._powers = self._powers
         return point
 
     def power(self, t: float) -> np.ndarray:
         """P^t through the cached spectrum (t = 0.5, -0.5, -1, 2, ...)."""
         return mat_func(self.matrix, lambda lam: lam**t, eigen=self.eigen)
 
+    def _kept_power(self, t: float) -> np.ndarray:
+        """``power(t)``, formed on first use and kept, read-only."""
+        m = self._powers.get(t)
+        if m is None:
+            m = self.power(t)
+            m.flags.writeable = False
+            self._powers[t] = m
+        return m
+
     def sqrt(self) -> np.ndarray:
-        return self.power(0.5)
+        return self._kept_power(0.5)
 
     def inv_sqrt(self) -> np.ndarray:
-        return self.power(-0.5)
+        return self._kept_power(-0.5)
 
     def inv(self) -> np.ndarray:
-        return self.power(-1.0)
+        return self._kept_power(-1.0)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpdPoint(dim={self.dim})"
@@ -280,6 +301,84 @@ class SpectralTangent:
     __rmul__ = __mul__
 
 
+# A factorization (w, Q) of the whitened step t0 V serves the step t V as
+# (r w, Q), r = t / t0 = 2^-k <= 1: scaling by a power of two commutes with
+# rounding in the products, in eigh and in exp, bit for bit, while nothing
+# nears the subnormal range.  Every nonzero intermediate of P^{-1/2} (t V)
+# P^{-1/2} is at least t min|V| min(1, min|P^{-1/2}|)^2 2^-266, minima over
+# nonzero entries (a product of floats, and a rounded sum of such products,
+# stays on the grid of its smallest term), so the reuse requires that bound,
+# and every nonzero entry and eigenvalue of the whitened step, to stay above
+# _SCALING_FLOOR, far above the subnormal range.  It also requires the
+# whitened step's largest entry below _EIGH_UNSCALED_MAX: beyond
+# sqrt(eps / tiny) = 2^485 LAPACK's syevd rescales its input by a factor
+# that is not a power of two (below 2^-485 as well, which the floor
+# excludes).
+_SCALING_FLOOR = 2.0**-450
+_EIGH_UNSCALED_MAX = 2.0**480
+
+
+def _smallest_magnitude(a: np.ndarray) -> float:
+    """The smallest nonzero |entry| of ``a``, inf if there is none."""
+    mags = np.abs(a[a != 0.0])
+    return float(mags.min()) if mags.size else math.inf
+
+
+class DenseTangent:
+    """Tangent ``scale`` times the matrix ``matrix``, whose multiples share
+    one factorization of the whitened direction.
+
+    ``exp_map`` steps along it bit for bit as along the matrix scale * V, but
+    factors P^{-1/2} (scale V) P^{-1/2} only for the first step that needs
+    it and scales that eigenpair for the other multiples at the same point,
+    where rounding allows (see _SCALING_FLOOR); elsewhere each step factors
+    its own.  The line search wraps a dense direction in one, so that its
+    backtracked trials share one factorization.
+    """
+
+    # _shared: a one-element list every multiple holds, None until a step
+    # factors its whitened matrix, then (point, scale t0, eigenpair, floor),
+    # floor bounding the step's nonzero magnitudes (zero where the eigenpair
+    # may not be reused).  The tuple is stored in one assignment, so no
+    # reader sees it half made.
+    __slots__ = ("matrix", "scale", "_shared")
+
+    def __init__(self, matrix: np.ndarray, scale: float = 1.0):
+        self.matrix = np.asarray(matrix, dtype=float)
+        self.scale = scale
+        self._shared = [None]
+
+    def __mul__(self, t: float) -> "DenseTangent":
+        step = DenseTangent(self.matrix, t * self.scale)
+        step._shared = self._shared
+        return step
+
+    __rmul__ = __mul__
+
+    def _eigen_at(self, p: SpdPoint, step: np.ndarray) -> EigenPair:
+        """The eigenpair of the whitened step, ``step`` being this tangent
+        symmetrized: the shared one scaled where that gives the same bits,
+        else factored, and shared if it is the first."""
+        shared = self._shared[0]
+        if shared is not None:
+            point, base, pair, floor = shared
+            r = self.scale / base
+            if point is p and 0.0 < r <= 1.0 and math.frexp(r)[0] == 0.5 and r * floor >= _SCALING_FLOOR:
+                return EigenPair(values=r * pair.values, vectors=pair.vectors)
+        pair, whitened = _factor_whitened(p, step)
+        if shared is None:
+            floor = 0.0
+            if float(np.max(np.abs(whitened))) < _EIGH_UNSCALED_MAX:
+                si = p.inv_sqrt()
+                floor = min(
+                    self.scale * _smallest_magnitude(self.matrix) * min(1.0, _smallest_magnitude(si)) ** 2,
+                    _smallest_magnitude(whitened),
+                    _smallest_magnitude(pair.values),
+                )
+            self._shared[0] = (p, self.scale, pair, floor)
+        return pair
+
+
 def _whitened(p: SpdPoint, v: SpectralTangent) -> np.ndarray:
     """Eigenvalues c / lambda of P^{-1/2} V P^{-1/2}, in frame order."""
     if not p.spectral:
@@ -291,8 +390,10 @@ def _whitened(p: SpdPoint, v: SpectralTangent) -> np.ndarray:
         return v.coeffs / values
 
 
-def _tangent_at(p: SpdPoint, v: np.ndarray) -> np.ndarray:
+def _tangent_at(p: SpdPoint, v: np.ndarray | DenseTangent) -> np.ndarray:
     """Symmetrize a tangent vector and check it lives at ``p``."""
+    if isinstance(v, DenseTangent):
+        v = v.scale * v.matrix
     v = symmetrize(v)
     if v.shape[0] != p.dim:
         raise DimMismatch(f"tangent dimension {v.shape[0]} != point dimension {p.dim}")
@@ -311,15 +412,28 @@ def inner(p: SpdPoint, u: np.ndarray, v: np.ndarray) -> float:
         return float(np.sum((s @ u @ s) * (s @ v @ s)))
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """||x||_F.  Where the plain sum of squares overflows but the entries are
+    finite, m ||x / m||_F with m = max|x| (Blue, ACM TOMS 4, 1978); the bits
+    are the plain norm's wherever that is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = float(np.linalg.norm(x))
+        if r == math.inf and np.all(np.isfinite(x)):
+            m = float(np.max(np.abs(x)))
+            r = m * float(np.linalg.norm(x / m))
+    return r
+
+
 def norm(p: SpdPoint, v: np.ndarray) -> float:
-    """Metric norm ||V||_P = ||P^{-1/2} V P^{-1/2}||_F; zero iff V = 0."""
+    """Metric norm ||V||_P = ||P^{-1/2} V P^{-1/2}||_F; zero iff V = 0.
+
+    Finite wherever the whitened V is, up to the float range itself."""
     if isinstance(v, SpectralTangent):
-        with np.errstate(over="ignore"):
-            return float(np.linalg.norm(_whitened(p, v)))
+        return _frobenius(_whitened(p, v))
     v = _tangent_at(p, v)
     s = p.inv_sqrt()
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(s @ v @ s, "fro"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _frobenius(s @ v @ s)
 
 
 # Whitened steps below this norm take the series route in exp_map: the
@@ -327,7 +441,7 @@ def norm(p: SpdPoint, v: np.ndarray) -> float:
 _EXP_SERIES_CUTOFF = 1e-6
 
 
-def exp_map(p: SpdPoint, v: np.ndarray) -> SpdPoint:
+def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | DenseTangent) -> SpdPoint:
     """Geodesic step exp_P(V) = P^{1/2} e^{P^{-1/2} V P^{-1/2}} P^{1/2}.
 
     Defined for every symmetric V; the result is positive definite without
@@ -344,7 +458,9 @@ def exp_map(p: SpdPoint, v: np.ndarray) -> SpdPoint:
 
     A SpectralTangent steps in closed form on the point's frame; a result
     whose spread lambda_min / lambda_max falls below 1e-17 has no positive
-    definite matrix form and also raises StepOverflow.
+    definite matrix form and also raises StepOverflow.  A DenseTangent steps
+    as its matrix does, on the eigenpair of the whitened step its multiples
+    share where that gives the same bits.
     """
     if isinstance(v, SpectralTangent):
         w = _whitened(p, v)
@@ -355,19 +471,18 @@ def exp_map(p: SpdPoint, v: np.ndarray) -> SpdPoint:
         if not _spread(values) >= _ROUNDING_FLOOR:
             raise StepOverflow("exponential-map result rounded outside the cone")
         return SpdPoint._from_spectrum(values, None, p._basis)
-    v = _tangent_at(p, v)
+    step = _tangent_at(p, v)
     lam = p.eigen.values
     # Overflow here is reported by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        whitened_bound = float(np.linalg.norm(v, "fro")) / float(lam[0])
+        whitened_bound = float(np.linalg.norm(step, "fro")) / float(lam[0])
         if whitened_bound <= _EXP_SERIES_CUTOFF:
-            out = symmetrize(p.matrix + v + 0.5 * (v @ p.inv() @ v))
+            out = symmetrize(p.matrix + step + 0.5 * (step @ p.inv() @ step))
         else:
             s = p.sqrt()
-            si = p.inv_sqrt()
-            m = symmetrize(si @ v @ si)
             try:
-                e = mat_func(m, np.exp)
+                pair = v._eigen_at(p, step) if isinstance(v, DenseTangent) else _factor_whitened(p, step)[0]
+                e = mat_func(None, np.exp, eigen=pair)
             except (SpectrumDomainError, InvalidMatrix) as err:
                 raise StepOverflow("exponential of the whitened step is not finite") from err
             out = symmetrize(s @ e @ s)
@@ -377,6 +492,14 @@ def exp_map(p: SpdPoint, v: np.ndarray) -> SpdPoint:
         return SpdPoint(out)
     except InvalidPoint as err:
         raise StepOverflow("exponential-map result rounded outside the cone") from err
+
+
+def _factor_whitened(p: SpdPoint, step: np.ndarray) -> tuple[EigenPair, np.ndarray]:
+    """The eigenpair of the whitened step P^{-1/2} step P^{-1/2}, and that
+    matrix."""
+    si = p.inv_sqrt()
+    m = symmetrize(si @ step @ si)
+    return sym_eigen(m), m
 
 
 def needs_dense(p: SpdPoint, v: np.ndarray | SpectralTangent, steps: np.ndarray) -> bool:
@@ -442,9 +565,11 @@ def distance(a: SpdPoint, b: SpdPoint) -> float:
         return abs(float(np.log(cb / ca))) * float(np.sqrt(a.dim))
     if ca is not None or cb is not None:
         lam, c = (b.spectrum, ca) if cb is None else (a.spectrum, cb)
-        return float(np.sqrt(np.sum(np.log(lam / c) ** 2)))
+        with np.errstate(over="ignore", divide="ignore"):
+            return float(np.sqrt(np.sum(np.log(lam / c) ** 2)))
     s = a.inv_sqrt()
-    c = symmetrize(s @ b.matrix @ s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = symmetrize(s @ b.matrix @ s)
     pair = sym_eigen(c)
     if float(pair.values[0]) <= 0.0:
         raise InvalidPoint("relative matrix is not positive definite")

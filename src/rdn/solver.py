@@ -57,7 +57,7 @@ from .errors import (
     StationaryOfMerit,
     StepOverflow,
 )
-from .manifold import SpdPoint, exp_map, inner, needs_dense, norm
+from .manifold import DenseTangent, SpdPoint, SpectralTangent, exp_map, inner, needs_dense, norm
 
 __all__ = [
     "Method",
@@ -209,17 +209,20 @@ def armijo_stepsize(
     the test is applied as phi(exp_P(t v)) <= (1 - 2 sigma t) phi(P); for the
     gradient fallback v = -grad phi(P), so it is -<v, v>_P.  Trial points
     whose exponential overflows are rejected without a merit evaluation;
-    ``evaluations`` counts the merit evaluations performed.
+    ``evaluations`` counts the merit evaluations performed.  A matrix
+    direction is wrapped in a DenseTangent, so that its trials share one
+    factorization of the whitened direction.
     """
     if merit is None:
         merit = problem.merit_value(p)
     if direction_kind is not DirectionKind.NEWTON:
         slope = -inner(p, v, v)
+    step = v if isinstance(v, SpectralTangent) else DenseTangent(v)
     evaluations = 0
     for j in range(max_backtracks + 1):
         t = 2.0**-j
         try:
-            candidate = exp_map(p, t * v)
+            candidate = exp_map(p, t * step)
             trial = problem.merit_value(candidate)
         except (StepOverflow, InvalidPoint, SpectrumDomainError):
             continue

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -240,3 +242,24 @@ def test_hostile_ratios_end_in_a_status(family, method, log_ratio, dim, seed, lo
     )
     assert result.status in {s.value for s in Status}
     assert result.nit == len(result.trace.records)
+
+
+@pytest.mark.parametrize(
+    "family, ratio, dim, method, seed, nit, ge",
+    [
+        # riemannian_grad's symmetrize, norm's P^{-1/2} V P^{-1/2} and the
+        # minimizer's construction overflow
+        (Family.F1, 9.61739821402542e307, 2, Method.DAMPED, 352551, 236, 472),
+        # lyapunov_solve's products and a matrix function's symmetrize
+        (Family.F2, 1.6424888986677155e-307, 7, Method.FULL, 622075, 0, 0),
+        # distance's eigenvalue ratios
+        (Family.F1, 1.5787476153139683e-308, 9, Method.FULL, 963496, 0, 0),
+    ],
+)
+def test_ratios_near_the_float_range_end_without_warnings(family, ratio, dim, method, seed, nit, ge):
+    # The dense route's intermediates overflow here; the finiteness checks
+    # report it as a status, and numpy prints nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_experiment(ExperimentSpec(family, ratio, dim, method, seed))
+    assert (result.status, result.nit, result.ge) == (Status.STEP_OVERFLOW.value, nit, ge)

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from rdn.errors import DimMismatch, InvalidPoint, InvalidRange, StepOverflow
 from rdn.linalg import mat_func, sym_eigen, symmetrize
 from rdn.manifold import (
+    DenseTangent,
     SpdPoint,
     SpectralTangent,
     distance,
@@ -86,6 +87,21 @@ class TestInnerAndNorm:
     def test_norm_scalar(self):
         assert norm(SpdPoint(np.array([[4.0]])), np.array([[4.0]])) == pytest.approx(1.0)
 
+    def test_norm_rescales_only_where_the_sum_of_squares_overflows(self):
+        p = SpdPoint(np.eye(3))
+        spectral = p.to_spectral()
+        assert norm(p, 1e200 * np.eye(3)) == 1e200 * np.sqrt(3.0)
+        assert norm(spectral, SpectralTangent(np.full(3, 1e200))) == 1e200 * np.sqrt(3.0)
+        # Beyond the float range, or with non-finite entries, it stays inf.
+        assert norm(SpdPoint(np.eye(9)), 8e307 * np.eye(9)) == np.inf
+        assert norm(spectral, SpectralTangent(np.array([1.0, np.inf, 1.0]))) == np.inf
+        # Where the plain norm is finite its bits are kept.
+        rng = np.random.default_rng(4)
+        v = random_symmetric(rng, 3, scale=1e150)
+        assert norm(p, v) == float(np.linalg.norm(v, "fro"))
+        c = rng.standard_normal(3) * 1e150
+        assert norm(spectral, SpectralTangent(c)) == float(np.linalg.norm(c))
+
     @given(st.integers(0, 10**6), st.integers(1, 8))
     @settings(deadline=None)
     def test_positive_definite_form(self, seed, n):
@@ -159,6 +175,91 @@ class TestExpMap:
         v = 10.0 * p.matrix
         q = exp_map(p, v)
         assert sym_eigen(q.matrix).values[0] > 0.0
+
+
+def _trial(p, v):
+    """The bits of exp_map(p, v), or StepOverflow if it raises that."""
+    try:
+        return exp_map(p, v).matrix.tobytes()
+    except StepOverflow:
+        return StepOverflow
+
+
+def _counting_eigh(monkeypatch):
+    """A list that grows by one for every np.linalg.eigh call from now on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def _line_search_cases():
+    """(point, direction, trial exponents j, reusable) over n <= 100 and
+    j <= 60.  The unreusable ones reach the subnormal range: their
+    direction has an entry of 1e-300, on a point of scale 1 or 2^-400."""
+    rng = np.random.default_rng(20261018)
+    for i in range(40):
+        reusable = i % 4 != 3
+        n = int(rng.choice([1, 2, 3, 7, 20, 100] if reusable else [2, 3, 7, 20, 100]))
+        low = 10.0 ** rng.uniform(-3.0, 0.0)
+        p = random_spd(n, low, low * 10.0 ** rng.uniform(0.0, 6.0), seed=i)
+        v = random_symmetric(rng, n, scale=low * 10.0 ** rng.uniform(-3.0, 14.0))
+        if not reusable:
+            if i % 8 == 7:
+                p, v = SpdPoint(2.0**-400 * p.matrix), 2.0**-400 * v
+            v[0, -1] = v[-1, 0] = 1e-300
+        js = sorted({0, *rng.integers(0, 61, size=6).tolist()})
+        yield p, v, js, reusable
+
+
+class TestDenseTangent:
+    def test_trials_match_the_per_trial_recipe_bitwise(self, monkeypatch):
+        # The shared factorization is bitwise what each trial would compute:
+        # scaling by 2^-j commutes with rounding in the products, in eigh and
+        # in exp.  A BLAS or LAPACK that breaks this fails here.
+        fallbacks = 0
+        for p, v, js, reusable in _line_search_cases():
+            p.eigen
+            calls = _counting_eigh(monkeypatch)
+            want = [_trial(p, 2.0**-j * v) for j in js]
+            own = len(calls)
+            step = DenseTangent(v)
+            got = [_trial(p, 2.0**-j * step) for j in js]
+            shared = len(calls) - own
+            monkeypatch.undo()
+            mismatched = [j for j, g, w in zip(js, got, want) if g != w]
+            assert not mismatched, (p.dim, mismatched, reusable)
+            # One factorization for the line search, or one per trial where
+            # the trials reach the subnormal range.
+            assert shared == (min(own, 1) if reusable else own), (p.dim, js, reusable, own, shared)
+            fallbacks += not reusable and own > 1
+        assert fallbacks >= 5
+
+    def test_shares_only_power_of_two_steps_at_one_point(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        p, q = random_spd(5, 1.0, 3.0, seed=6), random_spd(5, 1.0, 3.0, seed=7)
+        v = random_symmetric(rng, 5)
+        p.eigen, q.eigen
+        step = DenseTangent(v)
+        exp_map(p, step)
+        calls = _counting_eigh(monkeypatch)
+        assert _trial(p, 0.25 * step) == _trial(p, 0.25 * v)
+        assert len(calls) == 1  # the plain ndarray's own
+        for t, at in ((0.75, p), (0.5, q), (2.0, p)):
+            assert _trial(at, t * step) == _trial(at, t * v)
+        assert len(calls) == 7
+
+    def test_norm_and_inner_read_the_scaled_matrix(self):
+        p = random_spd(4, 1.0, 3.0, seed=8)
+        v = random_symmetric(np.random.default_rng(8), 4)
+        step = 0.125 * DenseTangent(v)
+        assert norm(p, step) == norm(p, 0.125 * v)
+        assert inner(p, step, step) == inner(p, 0.125 * v, 0.125 * v)
 
 
 class TestDistance:
