@@ -30,6 +30,10 @@ O(n) functions of the eigenvalues (Higham, Functions of Matrices, ch. 1):
 
 so every iterate keeps the start's eigenbasis and no factorization is paid
 after the start's.  Plain ndarray tangents take the dense route unchanged.
+Each spectral trial is formed and checked once: ``needs_dense`` forms the
+first finite trial of an iteration and keeps it for the multiples of its
+tangent, and ``exp_map`` returns that trial for the same step at the same
+point instead of forming it again.
 Where the dense route's outcome is decided by rounding noise or by where its
 intermediates overflow (spreads lambda_min / lambda_max below 1e-13, or
 eigenvalues and coefficients beyond 1e100), ``needs_dense`` tells the solver
@@ -98,7 +102,7 @@ _ROUNDING_FLOOR = 1e-17
 
 
 def _spread(values: np.ndarray) -> float:
-    return float(np.min(values) / np.max(values))
+    return float(values.min() / values.max())
 
 
 class _LazyPair(EigenPair):
@@ -142,7 +146,9 @@ class SpdPoint:
     # EigenPair it came from (possibly a random start's, not drawn yet).
     # _powers: P^{1/2}, P^{-1/2} and P^{-1} by exponent, once formed; the
     # dense and the spectral form of one point share the dict.
-    __slots__ = ("_matrix", "_eigen", "_values", "_basis", "_powers")
+    # _in_bounds: True only on a spectral step whose eigenvalues are the
+    # very array needs_dense found inside the hand-over bounds.
+    __slots__ = ("_matrix", "_eigen", "_values", "_basis", "_powers", "_in_bounds")
 
     def __init__(self, matrix: np.ndarray, *, eigen: EigenPair | None = None):
         m = symmetrize(matrix)
@@ -161,14 +167,21 @@ class SpdPoint:
         self._eigen = eigen
         self._values = self._basis = None
         self._powers = {}
+        self._in_bounds = False
 
     @classmethod
     def _from_spectrum(
-        cls, values: np.ndarray, eigen: EigenPair | None, basis: EigenPair | None
+        cls,
+        values: np.ndarray,
+        eigen: EigenPair | None,
+        basis: EigenPair | None,
+        *,
+        checked: bool = False,
     ) -> "SpdPoint":
         """A point without its matrix: spectral on the vectors of ``basis``
-        when given, else dense with the (possibly lazy) factorization ``eigen``."""
-        if not (np.all(np.isfinite(values)) and np.min(values) > 0.0):
+        when given, else dense with the (possibly lazy) factorization ``eigen``.
+        ``checked`` vouches that ``values`` are finite and strictly positive."""
+        if not (checked or (np.isfinite(values).all() and values.min() > 0.0)):
             raise InvalidPoint("spectrum is not finite and strictly positive")
         point = object.__new__(cls)
         point._matrix = None
@@ -176,6 +189,7 @@ class SpdPoint:
         point._values = None if basis is None else values
         point._basis = basis
         point._powers = {}
+        point._in_bounds = False
         return point
 
     @classmethod
@@ -287,16 +301,28 @@ class SpectralTangent:
     """Tangent V = basis diag(coeffs) basis^T in the frame of a spectral point.
 
     Such a V commutes with its base point.  Scaling by a number is the only
-    arithmetic the solver needs.
+    arithmetic the solver needs.  The multiples t V share the trial point
+    that ``needs_dense`` formed for the first finite step t at a point P:
+    ``exp_map`` returns it for that step at P instead of forming it again.
     """
 
-    __slots__ = ("coeffs",)
+    # _scale: t on the multiple t * V of a tangent of scale 1, whose coeffs
+    # are then bitwise t * V.coeffs; 1 on any other tangent.  _shared: a
+    # one-element list the multiples hold, None until needs_dense stores
+    # (point, t, trial eigenvalues) there in one assignment.
+    __slots__ = ("coeffs", "_scale", "_shared")
 
     def __init__(self, coeffs: np.ndarray):
         self.coeffs = coeffs
+        self._scale = 1.0
+        self._shared = [None]
 
     def __mul__(self, t: float) -> "SpectralTangent":
-        return SpectralTangent(t * self.coeffs)
+        step = SpectralTangent(t * self.coeffs)
+        if self._scale == 1.0:
+            step._scale = t
+            step._shared = self._shared
+        return step
 
     __rmul__ = __mul__
 
@@ -415,9 +441,12 @@ def inner(p: SpdPoint, u: np.ndarray, v: np.ndarray) -> float:
 def _frobenius(x: np.ndarray) -> float:
     """||x||_F.  Where the plain sum of squares overflows but the entries are
     finite, m ||x / m||_F with m = max|x| (Blue, ACM TOMS 4, 1978); the bits
-    are the plain norm's wherever that is finite."""
+    are the plain norm's wherever that is finite.  The plain norm is
+    np.linalg.norm's own recipe, sqrt of the flattened x . x, without its
+    Python-level dispatch."""
     with np.errstate(over="ignore", invalid="ignore"):
-        r = float(np.linalg.norm(x))
+        flat = x.ravel(order="K")
+        r = math.sqrt(flat.dot(flat))
         if r == math.inf and np.all(np.isfinite(x)):
             m = float(np.max(np.abs(x)))
             r = m * float(np.linalg.norm(x / m))
@@ -439,6 +468,8 @@ def norm(p: SpdPoint, v: np.ndarray) -> float:
 # Whitened steps below this norm take the series route in exp_map: the
 # truncation error ||M||^3/6 is then under 2e-19, beneath double rounding.
 _EXP_SERIES_CUTOFF = 1e-6
+# The smallest normal double; a step norm below it has lost bits to underflow.
+_TINY = float(np.finfo(float).tiny)
 
 
 def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | DenseTangent) -> SpdPoint:
@@ -458,24 +489,38 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | DenseTangent) -> SpdP
 
     A SpectralTangent steps in closed form on the point's frame; a result
     whose spread lambda_min / lambda_max falls below 1e-17 has no positive
-    definite matrix form and also raises StepOverflow.  A DenseTangent steps
-    as its matrix does, on the eigenpair of the whitened step its multiples
-    share where that gives the same bits.
+    definite matrix form and also raises StepOverflow.  The step at P that
+    ``needs_dense`` already formed and checked for its multiples is returned
+    as it is, the same bits.  A DenseTangent steps as its matrix does, on
+    the eigenpair of the whitened step its multiples share where that gives
+    the same bits.
     """
     if isinstance(v, SpectralTangent):
+        shared = v._shared[0]
+        if shared is not None and shared[0] is p and shared[1] == v._scale:
+            point = SpdPoint._from_spectrum(shared[2], None, p._basis, checked=True)
+            point._in_bounds = True
+            return point
         w = _whitened(p, v)
         with np.errstate(over="ignore"):
             values = p.spectrum * np.exp(w)
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise StepOverflow("exponential-map result has non-finite entries")
+        # A finite spread of at least the floor also makes every value positive.
         if not _spread(values) >= _ROUNDING_FLOOR:
             raise StepOverflow("exponential-map result rounded outside the cone")
-        return SpdPoint._from_spectrum(values, None, p._basis)
+        return SpdPoint._from_spectrum(values, None, p._basis, checked=True)
     step = _tangent_at(p, v)
     lam = p.eigen.values
     # Overflow here is reported by the finiteness check below.
     with np.errstate(over="ignore", invalid="ignore"):
-        whitened_bound = float(np.linalg.norm(step, "fro")) / float(lam[0])
+        step_norm = float(np.linalg.norm(step, "fro"))
+        if step_norm < _TINY and step.any():
+            # The sum of squares underflowed: rescale by the largest entry.
+            m = float(np.abs(step).max())
+            whitened_bound = float(np.linalg.norm(step / m, "fro")) * (m / float(lam[0]))
+        else:
+            whitened_bound = step_norm / float(lam[0])
         if whitened_bound <= _EXP_SERIES_CUTOFF:
             out = symmetrize(p.matrix + step + 0.5 * (step @ p.inv() @ step))
         else:
@@ -517,23 +562,30 @@ def needs_dense(p: SpdPoint, v: np.ndarray | SpectralTangent, steps: np.ndarray)
     a trial eigenvalue, log lambda + t c / lambda, is affine in t, so the
     log-spread is concave and log lambda_max convex in t, and each bound,
     like finiteness, holds on an interval of steps starting at t = 0.  A
-    trial inside the bounds therefore vouches for every smaller step.
+    trial inside the bounds therefore vouches for every smaller step.  It is
+    formed as exp_map forms exp_P(t v), bit for bit, and kept for the
+    multiples of ``v``: exp_map(p, t * v) returns it without recomputing.
+    An iterate that is such a kept trial is not checked again.
     """
     if not isinstance(v, SpectralTangent):
         return False
     values = p.spectrum
-    if _outside_handover_range(values) or np.max(np.abs(v.coeffs)) > _HANDOVER_SCALE:
+    if (not p._in_bounds and _outside_handover_range(values)) or np.abs(v.coeffs).max() > _HANDOVER_SCALE:
         return True
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for t in steps:
             trial = values * np.exp(t * v.coeffs / values)
-            if np.all(np.isfinite(trial)):
-                return _outside_handover_range(trial)
+            if np.isfinite(trial).all():
+                if _outside_handover_range(trial):
+                    return True
+                if v._scale == 1.0 and p.spectral and trial.shape == values.shape:
+                    v._shared[0] = (p, t, trial)
+                return False
     return False
 
 
 def _outside_handover_range(values: np.ndarray) -> bool:
-    low, high = np.min(values), np.max(values)
+    low, high = values.min(), values.max()
     return not (low / high >= _HANDOVER_SPREAD and low >= 1.0 / _HANDOVER_SCALE and high <= _HANDOVER_SCALE)
 
 

@@ -187,7 +187,7 @@ def minimizer(obj: Objective, dim: int) -> SpdPoint:
 
 
 def _spectral(coeffs: np.ndarray) -> SpectralTangent:
-    if not np.all(np.isfinite(coeffs)):
+    if not np.isfinite(coeffs).all():
         raise SpectrumDomainError("spectral coefficients are not finite")
     return SpectralTangent(coeffs)
 

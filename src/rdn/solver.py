@@ -33,10 +33,12 @@ and continue on the dense route.  An iteration whose iterate, direction or
 possible trial points leave the range where the spectral route reproduces
 the dense one (manifold.needs_dense: spreads near the rounding floor,
 magnitudes near overflow) runs on the dense route instead, from the
-materialized iterate, so statuses and counters match it.  Once that
-iteration commits its step, the run returns to the spectral route on the
-new iterate's eigendecomposition; the iterates after a hand-over agree with
-a purely dense run only to rounding.
+materialized iterate, so statuses and counters match it.  The trial that
+check forms for the first finite step is the one the full step or the line
+search then takes, not formed a second time; every trial is still one
+exp_map call.  Once a dense iteration commits its step, the run returns to
+the spectral route on the new iterate's eigendecomposition; the iterates
+after a hand-over agree with a purely dense run only to rounding.
 """
 
 from __future__ import annotations
@@ -146,7 +148,12 @@ class SolveTrace:
     """Per-iteration records, terminal status and counters of one run.
 
     nit == len(records) == he; ge >= nit.  For damped runs the recorded
-    merits are strictly decreasing and final_merit lies below the last one.
+    merits decrease strictly, and final_merit lies below the last one,
+    wherever each recorded 0.5 ||X||^2 agrees with the merit the Armijo test
+    accepted.  They need not where the dense route forms the field from
+    subnormal products, as for f2 at ratios above about 1e155 (ROADMAP
+    item 4): ``f2 --ratio 1e160 --dim 3 --method damped --seed 0`` records
+    139 of its 500 merits at or above the one before.
     """
 
     records: tuple[IterationRecord, ...]

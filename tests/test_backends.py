@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 import rdn
+from rdn import solver
 from rdn.bench import ExperimentSpec, table1_grid
-from rdn.manifold import random_spd
+from rdn.manifold import SpectralTangent, exp_map, random_spd
 from rdn.objectives import (
     Family,
     GradientField,
@@ -98,6 +99,44 @@ def test_table1_cells_agree_across_backends(seed, init_range):
         spectral, dense, _ = _both(spec)
         failures += _mismatches(spec, spectral, dense)
     assert not failures, "; ".join(failures[:8])
+
+
+def _fresh_exp_map(p, v):
+    """exp_map with every spectral trial formed and checked again: a tangent
+    of the same coefficients that shares no trial with the hand-over check."""
+    return exp_map(p, SpectralTangent(v.coeffs) if isinstance(v, SpectralTangent) else v)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _run_bits(spec):
+    """Per-record step decisions and bits, and the final gradient-norm and
+    spectrum bits, of one run on the current route."""
+    p0 = random_spd(spec.dim, *spec.init_eig_range, seed=spec.seed)
+    point, trace = solve(GradientField(spec.objective()), p0, spec.config())
+    records = [(r.alpha, r.backtracks, r.direction_kind, _bits(r.grad_norm), _bits(r.merit)) for r in trace.records]
+    return trace.status, trace.nit, trace.ge, records, _bits(trace.final_grad_norm), point.spectrum.tobytes()
+
+
+@pytest.mark.parametrize("init_range", INIT_RANGES, ids=lambda r: f"{r[0]:g},{r[1]:g}")
+@pytest.mark.parametrize("seed", SEEDS)
+def test_shared_trials_match_trials_formed_afresh(seed, init_range, monkeypatch):
+    # The line search and the full step take the trial the hand-over check
+    # formed; forming every trial afresh must give the same runs, bit for bit.
+    specs = table1_grid(seed, max_dim=100, init_eig_range=init_range)
+    exps = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x, *args: exps.append(1) or exp(x, *args))
+    shared = [_run_bits(spec) for spec in specs]
+    shared_exps = len(exps)
+    monkeypatch.setattr(solver, "exp_map", _fresh_exp_map)
+    fresh = [_run_bits(spec) for spec in specs]
+    assert {spec.method for spec in specs} == set(Method)
+    assert shared_exps < len(exps) - shared_exps  # the shared route forms fewer trials
+    for spec, got, want in zip(specs, shared, fresh):
+        assert got == want, f"{spec.family.value} {spec.ratio} n={spec.dim} {spec.method.value} seed={spec.seed}"
 
 
 def test_rounding_floor_cell_hands_over_and_agrees():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from rdn import manifold
 from rdn.errors import DimMismatch, InvalidPoint, InvalidRange, StepOverflow
 from rdn.linalg import mat_func, sym_eigen, symmetrize
 from rdn.manifold import (
@@ -175,6 +176,21 @@ class TestExpMap:
         v = 10.0 * p.matrix
         q = exp_map(p, v)
         assert sym_eigen(q.matrix).values[0] > 0.0
+
+    def test_series_bound_survives_underflow(self):
+        # Every entry of the scaled step is below 1e-154, so its plain sum of
+        # squares underflows to 0; the whitened step is still 1e10 I and its
+        # exponential overflows, as it does for the unscaled pair.
+        p0 = random_spd(5, 1.0, 4.0, seed=0).matrix
+        with pytest.raises(StepOverflow):
+            exp_map(SpdPoint(p0), 1e10 * p0)
+        tiny = 2.0**-1016
+        with pytest.raises(StepOverflow):
+            exp_map(SpdPoint(tiny * p0), tiny * (1e10 * p0))
+        # A tiny step that is small in the metric as well still lands on
+        # P e^{1e-8}.
+        q = exp_map(SpdPoint(tiny * p0), tiny * (1e-8 * p0))
+        assert np.allclose(q.matrix, np.exp(1e-8) * (tiny * p0), rtol=1e-14, atol=0.0)
 
 
 def _trial(p, v):
@@ -413,6 +429,98 @@ class TestSpectralSeam:
         assert np.allclose(dense.matrix, p.matrix, rtol=0, atol=1e-13)
         again = dense.to_spectral()
         assert again.eigen is dense.eigen and again.matrix is dense.matrix
+
+
+def _counting_exp(monkeypatch):
+    """A list that grows by one for every np.exp call from now on."""
+    calls = []
+    exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    return calls
+
+
+def _fresh(p, v):
+    """exp_map(p, v) with the trial formed again: a tangent of the same
+    coefficients that shares nothing."""
+    return exp_map(p, SpectralTangent(v.coeffs))
+
+
+class TestSharedTrial:
+    """needs_dense keeps the first finite trial it forms for the multiples of
+    its tangent; exp_map returns it only for that step at that point."""
+
+    def _setup(self):
+        p = random_spd(6, 1.0, 10.0, seed=21).to_spectral()
+        v = SpectralTangent(np.random.default_rng(21).uniform(-2.0, 2.0, 6))
+        return p, v
+
+    def test_reused_at_the_same_point_and_step(self, monkeypatch):
+        p, v = self._setup()
+        assert not needs_dense(p, v, np.array([1.0, 0.5]))
+        calls = _counting_exp(monkeypatch)
+        step = exp_map(p, 1.0 * v)
+        again = exp_map(p, v)
+        assert calls == []
+        want = _fresh(p, v)
+        assert np.array_equal(step.spectrum, want.spectrum) and np.array_equal(again.spectrum, want.spectrum)
+        assert step.frame[1] is p.frame[1]
+
+    def test_others_form_their_own(self, monkeypatch):
+        p, v = self._setup()
+        assert not needs_dense(p, v, np.array([1.0, 0.5]))
+        twin = SpdPoint.from_frame(p.spectrum, p.frame[1])
+        others = [
+            (twin, 1.0 * v),  # another point, though equal
+            (p, 0.5 * v),  # another step
+            (p, SpectralTangent(v.coeffs)),  # an unrelated tangent, the same coefficients
+            (p, 2.0 * (0.5 * v)),  # a multiple of a multiple
+        ]
+        calls = _counting_exp(monkeypatch)
+        for point, step in others:
+            got = exp_map(point, step)
+            assert np.array_equal(got.spectrum, _fresh(point, step).spectrum)
+        assert len(calls) == 2 * len(others)  # each formed its own, as _fresh did
+
+    def test_overflowing_larger_steps_still_raise(self, monkeypatch):
+        # The full step overflows in e^800; the half step 1e-90 e^400 = 5e83
+        # lies inside the hand-over bounds.
+        values = np.array([1e-90, 2e-90])
+        p = SpdPoint.from_frame(values, np.eye(2))
+        v = SpectralTangent(800.0 * values)
+        assert not needs_dense(p, v, np.array([1.0, 0.5, 0.25]))
+        calls = _counting_exp(monkeypatch)
+        with pytest.raises(StepOverflow):
+            exp_map(p, 1.0 * v)
+        assert len(calls) == 1
+        half = exp_map(p, 0.5 * v)
+        assert len(calls) == 1
+        assert np.array_equal(half.spectrum, _fresh(p, 0.5 * v).spectrum)
+
+    def test_no_trial_is_kept_where_the_iteration_hands_over(self, monkeypatch):
+        p = SpdPoint.from_frame(np.ones(2), np.eye(2))
+        v = SpectralTangent(np.array([0.0, np.log(1e-15)]))
+        assert needs_dense(p, v, np.array([1.0]))
+        calls = _counting_exp(monkeypatch)
+        exp_map(p, v)
+        assert len(calls) == 1
+
+    def test_checked_trial_is_not_checked_again_as_the_next_iterate(self, monkeypatch):
+        p, v = self._setup()
+        assert not needs_dense(p, v, np.ones(1))
+        q = exp_map(p, v)
+        ranges = []
+        check = manifold._outside_handover_range
+        monkeypatch.setattr(manifold, "_outside_handover_range", lambda x: ranges.append(x) or check(x))
+        assert not needs_dense(q, SpectralTangent(np.zeros(6)), np.ones(1))
+        assert len(ranges) == 1 and ranges[0] is not q.spectrum  # only the new trial
+        ranges.clear()
+        assert not needs_dense(_fresh(p, v), SpectralTangent(np.zeros(6)), np.ones(1))
+        assert len(ranges) == 2  # the iterate and the trial
 
 
 _TRIAL_STEPS = np.ldexp(1.0, -np.arange(61))

@@ -273,6 +273,17 @@ class TestSolve:
         assert trace.status is Status.CONVERGED
         assert trace.he == trace.nit == trace.ge
 
+    def test_spectral_full_step_forms_its_trial_once(self, monkeypatch):
+        # The hand-over check forms the trial exp_P(v); the step returns it.
+        problem = GradientField(Objective(Family.F1, 1.0, 0.1))
+        p0 = random_spd(30, 9.0, 10.0, seed=4)
+        calls = []
+        exp = np.exp
+        monkeypatch.setattr(np, "exp", lambda x, *args: calls.append(np.shape(x)) or exp(x, *args))
+        _, trace = solve(problem, p0, SolverConfig(method=Method.FULL, max_iters=1))
+        assert trace.nit == 1 and trace.status is Status.MAX_ITERS
+        assert calls == [(30,)]
+
     def test_record_fields(self):
         obj = Objective(Family.F1, 1.0, 0.1)
         _, trace = solve(GradientField(obj), SpdPoint(np.array([[10.0]])), SolverConfig())
