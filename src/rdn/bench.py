@@ -20,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import RdnError
+from .linalg import quiet
 from .manifold import distance, random_spd
 from .objectives import Family, GradientField, Objective, minimizer
 from .solver import Method, SolveTrace, SolverConfig, solve
@@ -98,6 +99,7 @@ class ExperimentResult:
     trace: SolveTrace = field(repr=False)
 
 
+@quiet
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run one experiment; solver failure statuses are carried through."""
     obj = spec.objective()

@@ -8,6 +8,8 @@ factorization of a point serves sqrt, exp, log and inverse powers alike.
 
 from __future__ import annotations
 
+import functools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +26,31 @@ __all__ = [
     "assert_spd",
 ]
 
+# Whether a ``quiet`` call is running in this thread or context.
+_QUIET: ContextVar[bool] = ContextVar("rdn_quiet", default=False)
 
+
+def quiet(fn):
+    """Run ``fn`` with numpy's floating-point warnings off; the finiteness
+    checks that follow report overflow and invalid values.  Only the
+    outermost decorated call enters ``np.errstate``, and restores the
+    caller's state on exit."""
+
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        if _QUIET.get():
+            return fn(*args, **kwargs)
+        token = _QUIET.set(True)
+        try:
+            with np.errstate(all="ignore"):
+                return fn(*args, **kwargs)
+        finally:
+            _QUIET.reset(token)
+
+    return run
+
+
+@quiet
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return (A + A^T)/2 as a new float array.
 
@@ -35,8 +61,7 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-    with np.errstate(over="ignore"):
-        return 0.5 * (a + a.T)
+    return 0.5 * (a + a.T)
 
 
 @dataclass(frozen=True)
@@ -63,6 +88,7 @@ def sym_eigen(a: np.ndarray) -> EigenPair:
     return EigenPair(values=values, vectors=vectors)
 
 
+@quiet
 def mat_func(
     a: np.ndarray | None,
     f: Callable[[np.ndarray], np.ndarray],
@@ -78,8 +104,7 @@ def mat_func(
     then not read and may be None.
     """
     pair = sym_eigen(a) if eigen is None else eigen
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        fvals = np.asarray(f(pair.values), dtype=float)
+    fvals = np.asarray(f(pair.values), dtype=float)
     if fvals.shape != pair.values.shape or not np.all(np.isfinite(fvals)):
         raise SpectrumDomainError(
             "scalar function is undefined or non-finite on part of the spectrum"
@@ -87,6 +112,7 @@ def mat_func(
     return symmetrize((pair.vectors * fvals) @ pair.vectors.T)
 
 
+@quiet
 def lyapunov_solve(
     p: np.ndarray,
     rhs: np.ndarray,
@@ -113,10 +139,9 @@ def lyapunov_solve(
     if np.min(np.abs(denom)) <= 1e-14 * scale:
         raise SingularOperator("eigenvalue sum lambda_i + lambda_j vanishes")
     q = pair.vectors
-    # An RHS beyond the float range gives non-finite entries, unwarned.
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = (q.T @ rhs @ q) / denom
-        return symmetrize(q @ w @ q.T)
+    # An RHS beyond the float range gives non-finite entries.
+    w = (q.T @ rhs @ q) / denom
+    return symmetrize(q @ w @ q.T)
 
 
 def assert_spd(a: np.ndarray, eps: float = 0.0) -> bool:

@@ -69,7 +69,7 @@ from .errors import (
     SpectrumDomainError,
     StepOverflow,
 )
-from .linalg import EigenPair, mat_func, sym_eigen, symmetrize
+from .linalg import EigenPair, mat_func, quiet, sym_eigen, symmetrize
 
 __all__ = [
     "SpdPoint",
@@ -412,8 +412,7 @@ def _whitened(p: SpdPoint, v: SpectralTangent) -> np.ndarray:
     values = p.spectrum
     if v.coeffs.shape != values.shape:
         raise DimMismatch(f"tangent has {v.coeffs.shape[0]} coefficients, point dimension {p.dim}")
-    with np.errstate(over="ignore"):
-        return v.coeffs / values
+    return v.coeffs / values
 
 
 def _tangent_at(p: SpdPoint, v: np.ndarray | DenseTangent) -> np.ndarray:
@@ -426,16 +425,15 @@ def _tangent_at(p: SpdPoint, v: np.ndarray | DenseTangent) -> np.ndarray:
     return v
 
 
+@quiet
 def inner(p: SpdPoint, u: np.ndarray, v: np.ndarray) -> float:
     """Affine-invariant metric <U, V>_P = tr(V P^{-1} U P^{-1})."""
     if isinstance(u, SpectralTangent) and isinstance(v, SpectralTangent):
-        with np.errstate(over="ignore"):
-            return float(np.sum(_whitened(p, u) * _whitened(p, v)))
+        return float(np.sum(_whitened(p, u) * _whitened(p, v)))
     u = _tangent_at(p, u)
     v = _tangent_at(p, v)
     s = p.inv_sqrt()
-    with np.errstate(over="ignore"):
-        return float(np.sum((s @ u @ s) * (s @ v @ s)))
+    return float(np.sum((s @ u @ s) * (s @ v @ s)))
 
 
 def _frobenius(x: np.ndarray) -> float:
@@ -444,15 +442,15 @@ def _frobenius(x: np.ndarray) -> float:
     are the plain norm's wherever that is finite.  The plain norm is
     np.linalg.norm's own recipe, sqrt of the flattened x . x, without its
     Python-level dispatch."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        flat = x.ravel(order="K")
-        r = math.sqrt(flat.dot(flat))
-        if r == math.inf and np.all(np.isfinite(x)):
-            m = float(np.max(np.abs(x)))
-            r = m * float(np.linalg.norm(x / m))
+    flat = x.ravel(order="K")
+    r = math.sqrt(flat.dot(flat))
+    if r == math.inf and np.all(np.isfinite(x)):
+        m = float(np.max(np.abs(x)))
+        r = m * float(np.linalg.norm(x / m))
     return r
 
 
+@quiet
 def norm(p: SpdPoint, v: np.ndarray) -> float:
     """Metric norm ||V||_P = ||P^{-1/2} V P^{-1/2}||_F; zero iff V = 0.
 
@@ -461,8 +459,7 @@ def norm(p: SpdPoint, v: np.ndarray) -> float:
         return _frobenius(_whitened(p, v))
     v = _tangent_at(p, v)
     s = p.inv_sqrt()
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _frobenius(s @ v @ s)
+    return _frobenius(s @ v @ s)
 
 
 # Whitened steps below this norm take the series route in exp_map: the
@@ -472,6 +469,7 @@ _EXP_SERIES_CUTOFF = 1e-6
 _TINY = float(np.finfo(float).tiny)
 
 
+@quiet
 def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | DenseTangent) -> SpdPoint:
     """Geodesic step exp_P(V) = P^{1/2} e^{P^{-1/2} V P^{-1/2}} P^{1/2}.
 
@@ -501,9 +499,7 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | DenseTangent) -> SpdP
             point = SpdPoint._from_spectrum(shared[2], None, p._basis, checked=True)
             point._in_bounds = True
             return point
-        w = _whitened(p, v)
-        with np.errstate(over="ignore"):
-            values = p.spectrum * np.exp(w)
+        values = p.spectrum * np.exp(_whitened(p, v))
         if not np.isfinite(values).all():
             raise StepOverflow("exponential-map result has non-finite entries")
         # A finite spread of at least the floor also makes every value positive.
@@ -513,24 +509,23 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | DenseTangent) -> SpdP
     step = _tangent_at(p, v)
     lam = p.eigen.values
     # Overflow here is reported by the finiteness check below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        step_norm = float(np.linalg.norm(step, "fro"))
-        if step_norm < _TINY and step.any():
-            # The sum of squares underflowed: rescale by the largest entry.
-            m = float(np.abs(step).max())
-            whitened_bound = float(np.linalg.norm(step / m, "fro")) * (m / float(lam[0]))
-        else:
-            whitened_bound = step_norm / float(lam[0])
-        if whitened_bound <= _EXP_SERIES_CUTOFF:
-            out = symmetrize(p.matrix + step + 0.5 * (step @ p.inv() @ step))
-        else:
-            s = p.sqrt()
-            try:
-                pair = v._eigen_at(p, step) if isinstance(v, DenseTangent) else _factor_whitened(p, step)[0]
-                e = mat_func(None, np.exp, eigen=pair)
-            except (SpectrumDomainError, InvalidMatrix) as err:
-                raise StepOverflow("exponential of the whitened step is not finite") from err
-            out = symmetrize(s @ e @ s)
+    step_norm = float(np.linalg.norm(step, "fro"))
+    if step_norm < _TINY and step.any():
+        # The sum of squares underflowed: rescale by the largest entry.
+        m = float(np.abs(step).max())
+        whitened_bound = float(np.linalg.norm(step / m, "fro")) * (m / float(lam[0]))
+    else:
+        whitened_bound = step_norm / float(lam[0])
+    if whitened_bound <= _EXP_SERIES_CUTOFF:
+        out = symmetrize(p.matrix + step + 0.5 * (step @ p.inv() @ step))
+    else:
+        s = p.sqrt()
+        try:
+            pair = v._eigen_at(p, step) if isinstance(v, DenseTangent) else _factor_whitened(p, step)[0]
+            e = mat_func(None, np.exp, eigen=pair)
+        except (SpectrumDomainError, InvalidMatrix) as err:
+            raise StepOverflow("exponential of the whitened step is not finite") from err
+        out = symmetrize(s @ e @ s)
     if not np.all(np.isfinite(out)):
         raise StepOverflow("exponential-map result has non-finite entries")
     try:
@@ -547,6 +542,7 @@ def _factor_whitened(p: SpdPoint, step: np.ndarray) -> tuple[EigenPair, np.ndarr
     return sym_eigen(m), m
 
 
+@quiet
 def needs_dense(p: SpdPoint, v: np.ndarray | SpectralTangent, steps: np.ndarray) -> bool:
     """Whether an iteration from ``p`` along ``v`` belongs on the dense route.
 
@@ -572,15 +568,14 @@ def needs_dense(p: SpdPoint, v: np.ndarray | SpectralTangent, steps: np.ndarray)
     values = p.spectrum
     if (not p._in_bounds and _outside_handover_range(values)) or np.abs(v.coeffs).max() > _HANDOVER_SCALE:
         return True
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for t in steps:
-            trial = values * np.exp(t * v.coeffs / values)
-            if np.isfinite(trial).all():
-                if _outside_handover_range(trial):
-                    return True
-                if v._scale == 1.0 and p.spectral and trial.shape == values.shape:
-                    v._shared[0] = (p, t, trial)
-                return False
+    for t in steps:
+        trial = values * np.exp(t * v.coeffs / values)
+        if np.isfinite(trial).all():
+            if _outside_handover_range(trial):
+                return True
+            if v._scale == 1.0 and p.spectral and trial.shape == values.shape:
+                v._shared[0] = (p, t, trial)
+            return False
     return False
 
 
@@ -600,6 +595,7 @@ def _scalar_coefficient(p: SpdPoint) -> float | None:
     return None
 
 
+@quiet
 def distance(a: SpdPoint, b: SpdPoint) -> float:
     """Geodesic distance ||log(A^{-1/2} B A^{-1/2})||_F.
 
@@ -617,11 +613,9 @@ def distance(a: SpdPoint, b: SpdPoint) -> float:
         return abs(float(np.log(cb / ca))) * float(np.sqrt(a.dim))
     if ca is not None or cb is not None:
         lam, c = (b.spectrum, ca) if cb is None else (a.spectrum, cb)
-        with np.errstate(over="ignore", divide="ignore"):
-            return float(np.sqrt(np.sum(np.log(lam / c) ** 2)))
+        return float(np.sqrt(np.sum(np.log(lam / c) ** 2)))
     s = a.inv_sqrt()
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = symmetrize(s @ b.matrix @ s)
+    c = symmetrize(s @ b.matrix @ s)
     pair = sym_eigen(c)
     if float(pair.values[0]) <= 0.0:
         raise InvalidPoint("relative matrix is not positive definite")

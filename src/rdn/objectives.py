@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import SpectrumDomainError
-from .linalg import EigenPair, lyapunov_solve, mat_func, symmetrize
+from .linalg import EigenPair, lyapunov_solve, mat_func, quiet, symmetrize
 from .manifold import SpdPoint, SpectralTangent
 
 __all__ = [
@@ -153,19 +153,19 @@ def newton_solve(obj: Objective, p: SpdPoint) -> np.ndarray:
 def _residual_spectrum(obj: Objective, p: SpdPoint) -> np.ndarray:
     """Eigenvalues of P^{-1/2} grad f(P) P^{-1/2}: a - b/lambda or a - b lambda."""
     lam = p.spectrum
-    with np.errstate(over="ignore"):
-        if obj.family is Family.F1:
-            return obj.a - obj.b / lam
-        return obj.a - obj.b * lam
+    if obj.family is Family.F1:
+        return obj.a - obj.b / lam
+    return obj.a - obj.b * lam
 
 
+@quiet
 def merit_value(obj: Objective, p: SpdPoint) -> float:
     """phi(P) = ||grad f(P)||_P^2 / 2, evaluated through the spectrum."""
     r = _residual_spectrum(obj, p)
-    with np.errstate(over="ignore"):
-        return 0.5 * float(np.sum(r * r))
+    return 0.5 * float(np.sum(r * r))
 
 
+@quiet
 def merit_gradient(obj: Objective, p: SpdPoint) -> np.ndarray:
     """grad phi(P): a b I - b^2 P^{-1} (family one), b^2 P^3 - a b P^2 (family two).
 
@@ -173,10 +173,9 @@ def merit_gradient(obj: Objective, p: SpdPoint) -> np.ndarray:
     inf entries (and the solver a failure status) instead of an OverflowError.
     """
     a, b = np.float64(obj.a), np.float64(obj.b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if obj.family is Family.F1:
-            return symmetrize(a * b * np.eye(p.dim) - b**2 * p.inv())
-        return symmetrize(b**2 * p.power(3.0) - a * b * p.power(2.0))
+    if obj.family is Family.F1:
+        return symmetrize(a * b * np.eye(p.dim) - b**2 * p.inv())
+    return symmetrize(b**2 * p.power(3.0) - a * b * p.power(2.0))
 
 
 def minimizer(obj: Objective, dim: int) -> SpdPoint:
@@ -206,24 +205,24 @@ class GradientField:
     def __init__(self, objective: Objective):
         self.objective = objective
 
+    @quiet
     def field_value(self, p: SpdPoint) -> np.ndarray | SpectralTangent:
         if not p.spectral:
             return riemannian_grad(self.objective, p)
         obj, lam = self.objective, p.spectrum
-        with np.errstate(over="ignore", invalid="ignore"):
-            if obj.family is Family.F1:
-                return _spectral(obj.a * lam - obj.b)
-            return _spectral(obj.a * lam - obj.b * lam**2)
+        if obj.family is Family.F1:
+            return _spectral(obj.a * lam - obj.b)
+        return _spectral(obj.a * lam - obj.b * lam**2)
 
+    @quiet
     def newton_solve(self, p: SpdPoint) -> np.ndarray | SpectralTangent:
         if not p.spectral:
             return newton_solve(self.objective, p)
         obj, lam = self.objective, p.spectrum
         ratio = obj.a / obj.b
-        with np.errstate(over="ignore", invalid="ignore"):
-            if obj.family is Family.F1:
-                return _spectral(lam - ratio * lam**2)
-            return _spectral(ratio - lam)
+        if obj.family is Family.F1:
+            return _spectral(lam - ratio * lam**2)
+        return _spectral(ratio - lam)
 
     def merit_value(self, p: SpdPoint) -> float:
         return merit_value(self.objective, p)

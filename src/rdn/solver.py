@@ -59,6 +59,7 @@ from .errors import (
     StationaryOfMerit,
     StepOverflow,
 )
+from .linalg import quiet
 from .manifold import DenseTangent, SpdPoint, SpectralTangent, exp_map, inner, needs_dense, norm
 
 __all__ = [
@@ -266,6 +267,7 @@ def _spectral_form(p: SpdPoint) -> SpdPoint:
         return p
 
 
+@quiet
 def solve(
     problem: Problem,
     p0: SpdPoint,
@@ -280,6 +282,9 @@ def solve(
     with status STEP_OVERFLOW, and the other failure modes map to their own
     statuses.  ``on_iterate`` is called as on_iterate(k, P_k) for the start
     (k = 0) and after every committed step.
+
+    ``problem``'s methods and ``on_iterate`` run with numpy's floating-point
+    warnings off (``linalg.quiet``), as does the rest of the run.
     """
     start = time.perf_counter()
     p = _spectral_form(p0)

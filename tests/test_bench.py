@@ -263,3 +263,44 @@ def test_ratios_near_the_float_range_end_without_warnings(family, ratio, dim, me
         warnings.simplefilter("error")
         result = run_experiment(ExperimentSpec(family, ratio, dim, method, seed))
     assert (result.status, result.nit, result.ge) == (Status.STEP_OVERFLOW.value, nit, ge)
+
+
+def test_ratios_near_the_float_range_end_without_warnings_on_a_pool():
+    # The cells above, fanned out over two threads: each worker's runs set
+    # their own error state.
+    cells = [
+        (ExperimentSpec(Family.F1, 9.61739821402542e307, 2, Method.DAMPED, 352551), 236, 472),
+        (ExperimentSpec(Family.F2, 1.6424888986677155e-307, 7, Method.FULL, 622075), 0, 0),
+        (ExperimentSpec(Family.F1, 1.5787476153139683e-308, 9, Method.FULL, 963496), 0, 0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = run_grid([s for s, _, _ in cells], max_workers=2)
+    for (_, nit, ge), r in zip(cells, results):
+        assert (r.status, r.nit, r.ge) == (Status.STEP_OVERFLOW.value, nit, ge)
+
+
+@pytest.mark.parametrize(
+    "family, ratio, method, seed, init_range, nit, dense_steps",
+    [
+        # spectral throughout
+        (Family.F1, 0.1, Method.FULL, 44, (9.0, 10.0), 100, 0),
+        # hands over to the dense route once
+        (Family.F2, 0.01, Method.DAMPED, 48453, (1.0, 10.0), 7, 1),
+    ],
+)
+def test_one_error_state_per_run(monkeypatch, family, ratio, method, seed, init_range, nit, dense_steps):
+    made, handed_over = [], []
+
+    class CountingErrstate(np.errstate):
+        def __init__(self, **kwargs):
+            made.append(kwargs)
+            super().__init__(**kwargs)
+
+    to_dense = SpdPoint.to_dense
+    np.random.default_rng(0)  # numpy.random enters an errstate of its own on first import
+    monkeypatch.setattr(np, "errstate", CountingErrstate)
+    monkeypatch.setattr(SpdPoint, "to_dense", lambda p: handed_over.append(p) or to_dense(p))
+    result = run_experiment(ExperimentSpec(family, ratio, 100, method, seed, init_eig_range=init_range))
+    assert (result.status, result.nit, len(handed_over)) == (Status.CONVERGED.value, nit, dense_steps)
+    assert made == [{"all": "ignore"}]

@@ -193,6 +193,21 @@ class TestExpMap:
         assert np.allclose(q.matrix, np.exp(1e-8) * (tiny * p0), rtol=1e-14, atol=0.0)
 
 
+def test_error_state_is_the_callers_after_an_overflowing_step():
+    p = SpdPoint(np.eye(3)).to_spectral()
+    with np.errstate(all="raise", under="ignore"):
+        caller = np.geterr()
+        with pytest.raises(StepOverflow):
+            exp_map(p, SpectralTangent(np.full(3, 1e3)))
+        assert np.geterr() == caller
+        # The next direct call still runs quiet.
+        assert norm(p, SpectralTangent(np.full(3, 1e200))) == 1e200 * np.sqrt(3.0)
+    before = np.geterr()
+    with pytest.raises(StepOverflow):
+        exp_map(SpdPoint(np.array([[1.0]])), np.array([[800.0]]))
+    assert np.geterr() == before
+
+
 def _trial(p, v):
     """The bits of exp_map(p, v), or StepOverflow if it raises that."""
     try:

@@ -1,11 +1,13 @@
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
 from rdn.errors import SingularOperator, StationaryOfMerit
 from rdn.linalg import symmetrize
-from rdn.manifold import SpdPoint, exp_map, inner, random_spd
+from rdn.manifold import SpdPoint, SpectralTangent, exp_map, inner, norm, random_spd
 from rdn.objectives import Family, GradientField, Objective, minimizer
 from rdn.solver import (
     ArmijoResult,
@@ -324,6 +326,34 @@ class TestSolve:
         obj = Objective(Family.F1, 1.0, 0.1)
         _, trace = solve(GradientField(obj), SpdPoint(np.array([[2.0]])), SolverConfig())
         assert trace.elapsed > 0.0
+
+
+def test_a_thread_started_from_on_iterate_has_its_own_error_state():
+    # The solver's error state belongs to its own thread: a direct norm in
+    # a new thread sets its own, and its overflowing sum of squares warns
+    # nowhere.
+    p = SpdPoint(np.eye(3)).to_spectral()
+    seen, errors = [], []
+
+    def measure():
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                seen.append(norm(p, SpectralTangent(np.full(3, 1e200))))
+        except Exception as err:  # reported below
+            errors.append(err)
+
+    def on_iterate(k, point):
+        if k == 0:
+            worker = threading.Thread(target=measure)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+
+    obj = Objective(Family.F1, 1.0, 0.1)
+    _, trace = solve(GradientField(obj), random_spd(4, 9.0, 10.0, seed=3), on_iterate=on_iterate)
+    assert trace.status is Status.CONVERGED
+    assert errors == [] and seen == [1e200 * np.sqrt(3.0)]
 
 
 class TestFourMethodProtocol:
