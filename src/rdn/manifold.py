@@ -50,7 +50,8 @@ holds that same pair as its frame's basis: the matrix, ``eigen.vectors`` and
 a spectral point's ``frame`` draw it, ``eigen.values`` does not.  The hot
 paths read eigenvalues through ``spectrum`` and test for the spectral form
 with ``spectral``, neither of which draws it, so a run that stays spectral
-factorizes nothing.
+factorizes nothing.  ``identity_eigen`` holds the identity basis of a
+diagonal matrix, such as the minimizer c I, the same way.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ __all__ = [
 # leaves these bounds runs on the dense route instead (``needs_dense``).
 _HANDOVER_SPREAD = 1e-13
 _HANDOVER_SCALE = 1e100
+_COEFF_SQUARES_INSIDE = (0.5 * _HANDOVER_SCALE) ** 2
 # A spectral step below this spread, under the unit roundoff 2^-53, has no
 # positive definite matrix form; exp_map rejects it as unrepresentable.
 _ROUNDING_FLOOR = 1e-17
@@ -153,7 +155,12 @@ class SpdPoint:
     def __init__(self, matrix: np.ndarray, *, eigen: EigenPair | None = None):
         m = symmetrize(matrix)
         if not np.all(np.isfinite(m)):
-            raise InvalidPoint("matrix has non-finite entries")
+            a = np.asarray(matrix, dtype=float)
+            if not np.isfinite(a).all():
+                raise InvalidPoint("matrix has non-finite entries")
+            # A + A^T overflows above half the float maximum; the sum of the
+            # halves does not, and is as exactly symmetric.
+            m = 0.5 * a + 0.5 * a.T
         if eigen is not None:
             if float(eigen.values[0]) <= 0.0:
                 raise InvalidPoint("spectrum is not strictly positive")
@@ -318,7 +325,7 @@ class SpectralTangent:
         self._shared = [None]
 
     def __mul__(self, t: float) -> "SpectralTangent":
-        step = SpectralTangent(t * self.coeffs)
+        step = SpectralTangent(self.coeffs if t == 1.0 else t * self.coeffs)
         if self._scale == 1.0:
             step._scale = t
             step._shared = self._shared
@@ -565,17 +572,24 @@ def needs_dense(p: SpdPoint, v: np.ndarray | SpectralTangent, steps: np.ndarray)
     """
     if not isinstance(v, SpectralTangent):
         return False
-    values = p.spectrum
-    if (not p._in_bounds and _outside_handover_range(values)) or np.abs(v.coeffs).max() > _HANDOVER_SCALE:
+    values, c = p.spectrum, v.coeffs
+    if not p._in_bounds and _outside_handover_range(values):
+        return True
+    # A sum of squares within (scale / 2)^2 bounds every |c_i| below the
+    # scale, rounding and all; only a larger or non-finite one needs the scan.
+    if not c @ c <= _COEFF_SQUARES_INSIDE and np.abs(c).max() > _HANDOVER_SCALE:
         return True
     for t in steps:
-        trial = values * np.exp(t * v.coeffs / values)
-        if np.isfinite(trial).all():
-            if _outside_handover_range(trial):
+        trial = values * np.exp((c if t == 1.0 else t * c) / values)
+        if _outside_handover_range(trial):
+            # A trial inside the bounds is finite; one outside them hands
+            # over only if it is finite.
+            if np.isfinite(trial).all():
                 return True
-            if v._scale == 1.0 and p.spectral and trial.shape == values.shape:
-                v._shared[0] = (p, t, trial)
-            return False
+            continue
+        if v._scale == 1.0 and p.spectral and trial.shape == values.shape:
+            v._shared[0] = (p, t, trial)
+        return False
     return False
 
 
@@ -620,6 +634,12 @@ def distance(a: SpdPoint, b: SpdPoint) -> float:
     if float(pair.values[0]) <= 0.0:
         raise InvalidPoint("relative matrix is not positive definite")
     return float(np.linalg.norm(np.log(pair.values)))
+
+
+def identity_eigen(values: np.ndarray) -> EigenPair:
+    """The factorization (values, I) of diag(values), ``values`` ascending,
+    whose identity basis is formed only when first read."""
+    return _LazyPair(values, lambda: np.eye(values.shape[0]))
 
 
 def random_spd(dim: int, eig_low: float, eig_high: float, seed: int) -> SpdPoint:

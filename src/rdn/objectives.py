@@ -30,14 +30,15 @@ and the merit is read off the frame's eigenvalues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import SpectrumDomainError
-from .linalg import EigenPair, lyapunov_solve, mat_func, quiet, symmetrize
-from .manifold import SpdPoint, SpectralTangent
+from .linalg import lyapunov_solve, mat_func, quiet, symmetrize
+from .manifold import SpdPoint, SpectralTangent, identity_eigen
 
 __all__ = [
     "Family",
@@ -90,6 +91,7 @@ def value(obj: Objective, p: SpdPoint) -> float:
     return obj.a * logdet - obj.b * float(np.sum(lam))
 
 
+@quiet
 def euclidean_grad(obj: Objective, p: SpdPoint) -> np.ndarray:
     """f'(P): a P^{-1} - b P^{-2} for family one, a P^{-1} - b I for family two."""
     if obj.family is Family.F1:
@@ -97,6 +99,7 @@ def euclidean_grad(obj: Objective, p: SpdPoint) -> np.ndarray:
     return symmetrize(obj.a * p.inv() - obj.b * np.eye(p.dim))
 
 
+@quiet
 def euclidean_hess_apply(obj: Objective, p: SpdPoint, v: np.ndarray) -> np.ndarray:
     """f''(P)[V] for the chosen family."""
     v = symmetrize(v)
@@ -109,6 +112,7 @@ def euclidean_hess_apply(obj: Objective, p: SpdPoint, v: np.ndarray) -> np.ndarr
     return symmetrize(-obj.a * pinv @ v @ pinv)
 
 
+@quiet
 def riemannian_grad(obj: Objective, p: SpdPoint) -> np.ndarray:
     """Gradient field: a P - b I (family one) or a P - b P^2 (family two).
 
@@ -119,6 +123,7 @@ def riemannian_grad(obj: Objective, p: SpdPoint) -> np.ndarray:
     return symmetrize(obj.a * p.matrix - obj.b * p.power(2.0))
 
 
+@quiet
 def hess_apply(obj: Objective, p: SpdPoint, v: np.ndarray) -> np.ndarray:
     """Hessian action by the general conversion formula.
 
@@ -179,14 +184,19 @@ def merit_gradient(obj: Objective, p: SpdPoint) -> np.ndarray:
 
 
 def minimizer(obj: Objective, dim: int) -> SpdPoint:
-    """The global minimizer: (b/a) I for family one, (a/b) I for family two."""
+    """The global minimizer: (b/a) I for family one, (a/b) I for family two.
+
+    Held in spectral form on the identity basis, which is formed only if
+    read, so ``distance`` reads it as c I off its spectrum."""
     c = obj.b / obj.a if obj.family is Family.F1 else obj.a / obj.b
-    eye = np.eye(dim)
-    return SpdPoint(c * eye, eigen=EigenPair(values=np.full(dim, c), vectors=eye))
+    values = np.full(dim, c)
+    return SpdPoint(np.diag(values), eigen=identity_eigen(values)).to_spectral()
 
 
 def _spectral(coeffs: np.ndarray) -> SpectralTangent:
-    if not np.isfinite(coeffs).all():
+    # A finite sum of squares has finite terms; only an infinite or nan one
+    # needs the scan, since finite coefficients may overflow it.
+    if not math.isfinite(coeffs @ coeffs) and not np.isfinite(coeffs).all():
         raise SpectrumDomainError("spectral coefficients are not finite")
     return SpectralTangent(coeffs)
 

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -247,8 +249,7 @@ def test_hostile_ratios_end_in_a_status(family, method, log_ratio, dim, seed, lo
 @pytest.mark.parametrize(
     "family, ratio, dim, method, seed, nit, ge",
     [
-        # riemannian_grad's symmetrize, norm's P^{-1/2} V P^{-1/2} and the
-        # minimizer's construction overflow
+        # riemannian_grad's symmetrize and norm's P^{-1/2} V P^{-1/2} overflow
         (Family.F1, 9.61739821402542e307, 2, Method.DAMPED, 352551, 236, 472),
         # lyapunov_solve's products and a matrix function's symmetrize
         (Family.F2, 1.6424888986677155e-307, 7, Method.FULL, 622075, 0, 0),
@@ -263,6 +264,29 @@ def test_ratios_near_the_float_range_end_without_warnings(family, ratio, dim, me
         warnings.simplefilter("error")
         result = run_experiment(ExperimentSpec(family, ratio, dim, method, seed))
     assert (result.status, result.nit, result.ge) == (Status.STEP_OVERFLOW.value, nit, ge)
+
+
+def test_minimizer_past_half_the_float_maximum_gives_a_finite_distance():
+    # The minimizer c I, c = 9.6e307, is built without forming c + c.
+    result = run_experiment(ExperimentSpec(Family.F1, 9.61739821402542e307, 2, Method.DAMPED, 352551))
+    assert (result.status, result.nit, result.ge) == (Status.STEP_OVERFLOW.value, 236, 472)
+    assert math.isfinite(result.final_dist_to_star)
+    assert result.final_dist_to_star == pytest.approx(667.0, rel=1e-3)
+
+
+def test_narrow_n1000_run_holds_few_matrices():
+    # A run that stays spectral holds no n x n array but the minimizer's
+    # and the one symmetrize makes of it: 2.13 n^2 doubles with the
+    # finiteness mask.  One more n x n temporary reads 3.13.
+    n = 1000
+    tracemalloc.start()
+    try:
+        result = run_experiment(spec(ratio=1.0, dim=n, seed=50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == Status.CONVERGED.value
+    assert peak < 2.5 * n * n * 8
 
 
 def test_ratios_near_the_float_range_end_without_warnings_on_a_pool():

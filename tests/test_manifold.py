@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rdn import manifold
-from rdn.errors import DimMismatch, InvalidPoint, InvalidRange, StepOverflow
+from rdn import manifold, objectives
+from rdn.errors import DimMismatch, InvalidPoint, InvalidRange, SpectrumDomainError, StepOverflow
 from rdn.linalg import mat_func, sym_eigen, symmetrize
 from rdn.manifold import (
     DenseTangent,
@@ -607,6 +607,34 @@ def test_needs_dense_agrees_with_the_scan_of_every_trial(case, aim):
         assert want or not got
         if not _near_a_bound(values):
             assert got == want, (values, scale * coeffs)
+
+
+_ULP_NEIGHBOURS = [x for b in (0.5e100, 1e100) for x in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))]
+_HOSTILE_ENTRIES = st.one_of(
+    st.sampled_from([np.nan, np.inf, 5e-324, 1e-310, 2.0**-1022, 1e200, 1.7e308, *_ULP_NEIGHBOURS]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(st.lists(st.tuples(_HOSTILE_ENTRIES, st.booleans()), min_size=1, max_size=12))
+@settings(deadline=None, max_examples=300)
+def test_certificates_decide_as_the_scans_they_replace(entries):
+    # The spectral checks try a sum of squares or the range test first and
+    # scan only where that does not decide; each must answer as the scan.
+    x = np.array([-e if negate else e for e, negate in entries])
+    finite, beyond = bool(np.isfinite(x).all()), bool(np.abs(x).max() > 1e100)
+    unit = SpdPoint.from_frame(np.ones(x.size), np.eye(x.size))
+    assert needs_dense(unit, SpectralTangent(x), np.empty(0)) == beyond
+    # The two private checks run inside quiet callers in the solver.
+    with np.errstate(all="ignore"):
+        try:
+            objectives._spectral(x)
+            spectral_finite = True
+        except SpectrumDomainError:
+            spectral_finite = False
+        # A trial inside the hand-over bounds is finite.
+        assert manifold._outside_handover_range(x) or finite
+    assert spectral_finite == finite
 
 
 def _eager_random_spd(dim, low, high, seed):

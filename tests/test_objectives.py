@@ -27,6 +27,10 @@ def random_symmetric(rng, n, scale=1.0):
     return symmetrize(scale * rng.standard_normal((n, n)))
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
 def objective_cases():
     return [Objective(F1, 1.0, 0.1), Objective(F1, 2.0, 3.0), Objective(F2, 1.0, 0.05), Objective(F2, 1.5, 0.4)]
 
@@ -244,6 +248,24 @@ class TestMinimizer:
             star = minimizer(Objective(family, 0.7, 0.7), 4)
             assert np.array_equal(star.matrix, np.eye(4))
 
+    @pytest.mark.parametrize("n", [1, 2, 100])
+    @pytest.mark.parametrize("obj", [Objective(F1, 1.0, 0.1), Objective(F2, 3.0, 0.7)])
+    def test_bits_and_a_basis_formed_only_when_read(self, monkeypatch, obj, n):
+        eyes = []
+        eye = np.eye
+        monkeypatch.setattr(np, "eye", lambda *a, **k: (eyes.append(a), eye(*a, **k))[1])
+        star = minimizer(obj, n)
+        c = obj.ratio if obj.family is F1 else obj.a / obj.b
+        assert _bits(star.matrix) == _bits(c * eye(n))
+        assert _bits(star.eigen.values) == _bits(np.full(n, c)) and _bits(star.spectrum) == _bits(np.full(n, c))
+        assert eyes == []
+        assert np.array_equal(star.eigen.vectors, eye(n)) and len(eyes) == 1
+
+    def test_above_half_the_float_maximum(self):
+        # c + c overflows; the point still holds c I, bit for bit.
+        star = minimizer(Objective(F1, 1.0, 1.5e308), 3)
+        assert _bits(star.matrix) == _bits(1.5e308 * np.eye(3))
+
 
 class TestDerivativeChecks:
     """Directional finite-difference checks through the exponential map."""
@@ -295,3 +317,19 @@ class TestGradientField:
         assert np.array_equal(field.field_value(p), riemannian_grad(obj, p))
         assert np.array_equal(field.fallback_direction(p), -merit_gradient(obj, p))
         assert field.merit_value(p) == merit_value(obj, p)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: riemannian_grad(Objective(F2, 1.0, 1e300), SpdPoint(1e10 * np.eye(2))),
+        lambda: hess_apply(Objective(F2, 1.0, 1e300), SpdPoint(1e10 * np.eye(2)), np.eye(2)),
+        lambda: euclidean_grad(Objective(F1, 1.0, 1e300), SpdPoint(1e-10 * np.eye(2))),
+        lambda: euclidean_hess_apply(Objective(F1, 1.0, 1e300), SpdPoint(1e-10 * np.eye(2)), np.eye(2)),
+    ],
+    ids=["riemannian_grad", "hess_apply", "euclidean_grad", "euclidean_hess_apply"],
+)
+def test_public_conversions_overflow_without_a_warning(call):
+    # The suite turns warnings into errors; past the float range each gives
+    # inf entries instead.
+    assert np.isinf(call()).any()
