@@ -32,7 +32,7 @@ from .errors import (
     StepOverflow,
 )
 from .linalg import EigenPair, assert_spd, lyapunov_solve, mat_func, sym_eigen, symmetrize
-from .manifold import SpdPoint, SpectralTangent, distance, exp_map, inner, norm, random_spd
+from .manifold import Line, SpdPoint, SpectralTangent, distance, exp_map, inner, norm, random_spd
 from .objectives import (
     Family,
     GradientField,

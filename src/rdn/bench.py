@@ -15,6 +15,7 @@ Measured times live in ExperimentResult.time_s and can be written with
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -48,6 +49,14 @@ F2_RATIOS = (0.001, 0.002, 0.01)
 TABLE1_DIMS = (1, 100, 1000)
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, inf where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One benchmark cell: which objective, at which size, solved how."""
@@ -67,6 +76,9 @@ class ExperimentSpec:
             raise ValueError(f"ratio must be finite and positive, got {self.ratio}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
+        # Every run forms the n x n minimizer.
+        if 8 * int(self.dim) ** 2 > _physical_memory():
+            raise ValueError(f"dim {self.dim} needs an n x n float64 matrix larger than physical memory")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         low, high = self.init_eig_range

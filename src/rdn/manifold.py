@@ -13,12 +13,12 @@ projection is ever needed.  Geodesic distance is ||log(A^{-1/2} B A^{-1/2})||_F.
 
 Points are immutable and carry a lazily computed eigendecomposition, from
 which P^{1/2}, P^{-1/2} and P^{-1} are formed once, on first use, and kept.
-Along one dense direction V, exp_P(t V) = P^{1/2} Q diag(e^{t w}) Q^T P^{1/2}
+A damped iteration tries exp_P(2^-j V), j = 0, 1, ..., along one geodesic,
+a Line.  Along a dense V, exp_P(t V) = P^{1/2} Q diag(e^{t w}) Q^T P^{1/2}
 with (w, Q) the eigenpair of the whitened P^{-1/2} V P^{-1/2} (Pennec,
-Fillard & Ayache, IJCV 66, 2006).  A DenseTangent shares that eigenpair
-among its multiples, so a line search pays for one factorization of the
-whitened direction and one per accepted or evaluated trial point, not one
-per backtrack.
+Fillard & Ayache, IJCV 66, 2006).  The line keeps that eigenpair, so a line
+search pays for one factorization of the whitened direction and one per
+accepted or evaluated trial point, not one per backtrack.
 
 Spectral seam.  A point may instead be held in spectral form, a frame
 (values, basis) with P = basis diag(values) basis^T, and a tangent that
@@ -31,9 +31,9 @@ O(n) functions of the eigenvalues (Higham, Functions of Matrices, ch. 1):
 so every iterate keeps the start's eigenbasis and no factorization is paid
 after the start's.  Plain ndarray tangents take the dense route unchanged.
 Each spectral trial is formed and checked once: ``needs_dense`` forms the
-first finite trial of an iteration and keeps it for the multiples of its
-tangent, and ``exp_map`` returns that trial for the same step at the same
-point instead of forming it again.
+first finite trial of an iteration and keeps it on the line, and
+``exp_map`` returns it for that step of the line instead of forming it
+again.
 Where the dense route's outcome is decided by rounding noise or by where its
 intermediates overflow (spreads lambda_min / lambda_max below 1e-13, or
 eigenvalues and coefficients beyond 1e100), ``needs_dense`` tells the solver
@@ -75,7 +75,7 @@ from .linalg import EigenPair, mat_func, quiet, sym_eigen, symmetrize
 __all__ = [
     "SpdPoint",
     "SpectralTangent",
-    "DenseTangent",
+    "Line",
     "inner",
     "norm",
     "exp_map",
@@ -101,10 +101,6 @@ _COEFF_SQUARES_INSIDE = (0.5 * _HANDOVER_SCALE) ** 2
 # A spectral step below this spread, under the unit roundoff 2^-53, has no
 # positive definite matrix form; exp_map rejects it as unrepresentable.
 _ROUNDING_FLOOR = 1e-17
-
-
-def _spread(values: np.ndarray) -> float:
-    return float(values.min() / values.max())
 
 
 class _LazyPair(EigenPair):
@@ -149,7 +145,7 @@ class SpdPoint:
     # _powers: P^{1/2}, P^{-1/2} and P^{-1} by exponent, once formed; the
     # dense and the spectral form of one point share the dict.
     # _in_bounds: True only on a spectral step whose eigenvalues are the
-    # very array needs_dense found inside the hand-over bounds.
+    # very array needs_dense found inside the hand-over bounds (Line._trial).
     __slots__ = ("_matrix", "_eigen", "_values", "_basis", "_powers", "_in_bounds")
 
     def __init__(self, matrix: np.ndarray, *, eigen: EigenPair | None = None):
@@ -307,29 +303,17 @@ class SpdPoint:
 class SpectralTangent:
     """Tangent V = basis diag(coeffs) basis^T in the frame of a spectral point.
 
-    Such a V commutes with its base point.  Scaling by a number is the only
-    arithmetic the solver needs.  The multiples t V share the trial point
-    that ``needs_dense`` formed for the first finite step t at a point P:
-    ``exp_map`` returns it for that step at P instead of forming it again.
+    Such a V commutes with its base point; scaling by a number is its only
+    arithmetic.
     """
 
-    # _scale: t on the multiple t * V of a tangent of scale 1, whose coeffs
-    # are then bitwise t * V.coeffs; 1 on any other tangent.  _shared: a
-    # one-element list the multiples hold, None until needs_dense stores
-    # (point, t, trial eigenvalues) there in one assignment.
-    __slots__ = ("coeffs", "_scale", "_shared")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: np.ndarray):
         self.coeffs = coeffs
-        self._scale = 1.0
-        self._shared = [None]
 
     def __mul__(self, t: float) -> "SpectralTangent":
-        step = SpectralTangent(self.coeffs if t == 1.0 else t * self.coeffs)
-        if self._scale == 1.0:
-            step._scale = t
-            step._shared = self._shared
-        return step
+        return SpectralTangent(t * self.coeffs)
 
     __rmul__ = __mul__
 
@@ -357,75 +341,82 @@ def _smallest_magnitude(a: np.ndarray) -> float:
     return float(mags.min()) if mags.size else math.inf
 
 
-class DenseTangent:
-    """Tangent ``scale`` times the matrix ``matrix``, whose multiples share
-    one factorization of the whitened direction.
+class Line:
+    """The geodesic t -> exp_P(t V) that one iteration searches along.
 
-    ``exp_map`` steps along it bit for bit as along the matrix scale * V, but
-    factors P^{-1/2} (scale V) P^{-1/2} only for the first step that needs
-    it and scales that eigenpair for the other multiples at the same point,
-    where rounding allows (see _SCALING_FLOOR); elsewhere each step factors
-    its own.  The line search wraps a dense direction in one, so that its
-    backtracked trials share one factorization.
+    ``exp_map(point, t * line)`` is bit for bit ``exp_map(point, t * direction)``
+    (``exp_map(point, line)`` for t = 1), from what the steps share: the trial
+    ``needs_dense`` kept, returned for its own step, and the eigenpair of the
+    whitened direction that the first factored step forms and later steps
+    scale where that gives the same bits (see _SCALING_FLOOR).  A step at a
+    point other than the line's raises DimMismatch.
     """
 
-    # _shared: a one-element list every multiple holds, None until a step
-    # factors its whitened matrix, then (point, scale t0, eigenpair, floor),
-    # floor bounding the step's nonzero magnitudes (zero where the eigenpair
-    # may not be reused).  The tuple is stored in one assignment, so no
-    # reader sees it half made.
-    __slots__ = ("matrix", "scale", "_shared")
+    # _trial: (t, eigenvalues) that needs_dense found inside the hand-over
+    # bounds.  _whitened: (t0, eigenpair of the whitened t0 V, floor), floor
+    # bounding its nonzero magnitudes (zero where it may not be reused).
+    __slots__ = ("point", "direction", "_trial", "_whitened")
 
-    def __init__(self, matrix: np.ndarray, scale: float = 1.0):
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.scale = scale
-        self._shared = [None]
+    def __init__(self, point: SpdPoint, direction: np.ndarray | SpectralTangent):
+        if isinstance(direction, SpectralTangent):
+            _frame_values(point, direction)
+        else:
+            direction = np.asarray(direction, dtype=float)
+        self.point, self.direction = point, direction
+        self._trial = self._whitened = None
 
-    def __mul__(self, t: float) -> "DenseTangent":
-        step = DenseTangent(self.matrix, t * self.scale)
-        step._shared = self._shared
-        return step
+    def __rmul__(self, t: float) -> "_LineStep":
+        return _LineStep(self, t)
 
-    __rmul__ = __mul__
-
-    def _eigen_at(self, p: SpdPoint, step: np.ndarray) -> EigenPair:
-        """The eigenpair of the whitened step, ``step`` being this tangent
-        symmetrized: the shared one scaled where that gives the same bits,
-        else factored, and shared if it is the first."""
-        shared = self._shared[0]
-        if shared is not None:
-            point, base, pair, floor = shared
-            r = self.scale / base
-            if point is p and 0.0 < r <= 1.0 and math.frexp(r)[0] == 0.5 and r * floor >= _SCALING_FLOOR:
+    def _whitened_eigen(self, t: float, step: np.ndarray) -> EigenPair:
+        """The eigenpair of P^{-1/2} step P^{-1/2}, step = sym(t V): the kept one
+        scaled where that gives the same bits, else factored, and kept if first."""
+        if self._whitened is not None:
+            base, pair, floor = self._whitened
+            r = t / base
+            if 0.0 < r <= 1.0 and math.frexp(r)[0] == 0.5 and r * floor >= _SCALING_FLOOR:
                 return EigenPair(values=r * pair.values, vectors=pair.vectors)
-        pair, whitened = _factor_whitened(p, step)
-        if shared is None:
+        si = self.point.inv_sqrt()
+        whitened = symmetrize(si @ step @ si)
+        pair = sym_eigen(whitened)
+        if self._whitened is None:
             floor = 0.0
             if float(np.max(np.abs(whitened))) < _EIGH_UNSCALED_MAX:
-                si = p.inv_sqrt()
                 floor = min(
-                    self.scale * _smallest_magnitude(self.matrix) * min(1.0, _smallest_magnitude(si)) ** 2,
+                    t * _smallest_magnitude(self.direction) * min(1.0, _smallest_magnitude(si)) ** 2,
                     _smallest_magnitude(whitened),
                     _smallest_magnitude(pair.values),
                 )
-            self._shared[0] = (p, self.scale, pair, floor)
+            self._whitened = (t, pair, floor)
         return pair
 
 
-def _whitened(p: SpdPoint, v: SpectralTangent) -> np.ndarray:
-    """Eigenvalues c / lambda of P^{-1/2} V P^{-1/2}, in frame order."""
+class _LineStep:
+    """The step t of a Line, as ``t * line`` makes it."""
+
+    __slots__ = ("line", "t")
+
+    def __init__(self, line: Line, t: float):
+        self.line, self.t = line, t
+
+
+def _frame_values(p: SpdPoint, v: SpectralTangent) -> np.ndarray:
+    """The eigenvalues of ``p`` in frame order, once ``v`` is checked to be in its frame."""
     if not p.spectral:
         raise DimMismatch("spectral tangent at a point without a spectral frame")
     values = p.spectrum
     if v.coeffs.shape != values.shape:
         raise DimMismatch(f"tangent has {v.coeffs.shape[0]} coefficients, point dimension {p.dim}")
-    return v.coeffs / values
+    return values
 
 
-def _tangent_at(p: SpdPoint, v: np.ndarray | DenseTangent) -> np.ndarray:
+def _spectral_trial(values: np.ndarray, coeffs: np.ndarray, t: float) -> np.ndarray:
+    """lambda e^{t c / lambda}: exp_P(t V) in the frame, for every spectral step and trial."""
+    return values * np.exp((coeffs if t == 1.0 else t * coeffs) / values)
+
+
+def _tangent_at(p: SpdPoint, v: np.ndarray) -> np.ndarray:
     """Symmetrize a tangent vector and check it lives at ``p``."""
-    if isinstance(v, DenseTangent):
-        v = v.scale * v.matrix
     v = symmetrize(v)
     if v.shape[0] != p.dim:
         raise DimMismatch(f"tangent dimension {v.shape[0]} != point dimension {p.dim}")
@@ -436,7 +427,8 @@ def _tangent_at(p: SpdPoint, v: np.ndarray | DenseTangent) -> np.ndarray:
 def inner(p: SpdPoint, u: np.ndarray, v: np.ndarray) -> float:
     """Affine-invariant metric <U, V>_P = tr(V P^{-1} U P^{-1})."""
     if isinstance(u, SpectralTangent) and isinstance(v, SpectralTangent):
-        return float(np.sum(_whitened(p, u) * _whitened(p, v)))
+        values = _frame_values(p, u)
+        return float(np.sum((u.coeffs / values) * (v.coeffs / _frame_values(p, v))))
     u = _tangent_at(p, u)
     v = _tangent_at(p, v)
     s = p.inv_sqrt()
@@ -463,7 +455,7 @@ def norm(p: SpdPoint, v: np.ndarray) -> float:
 
     Finite wherever the whitened V is, up to the float range itself."""
     if isinstance(v, SpectralTangent):
-        return _frobenius(_whitened(p, v))
+        return _frobenius(v.coeffs / _frame_values(p, v))
     v = _tangent_at(p, v)
     s = p.inv_sqrt()
     return _frobenius(s @ v @ s)
@@ -477,7 +469,7 @@ _TINY = float(np.finfo(float).tiny)
 
 
 @quiet
-def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | DenseTangent) -> SpdPoint:
+def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line | _LineStep) -> SpdPoint:
     """Geodesic step exp_P(V) = P^{1/2} e^{P^{-1/2} V P^{-1/2}} P^{1/2}.
 
     Defined for every symmetric V; the result is positive definite without
@@ -494,26 +486,29 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | DenseTangent) -> SpdP
 
     A SpectralTangent steps in closed form on the point's frame; a result
     whose spread lambda_min / lambda_max falls below 1e-17 has no positive
-    definite matrix form and also raises StepOverflow.  The step at P that
-    ``needs_dense`` already formed and checked for its multiples is returned
-    as it is, the same bits.  A DenseTangent steps as its matrix does, on
-    the eigenpair of the whitened step its multiples share where that gives
-    the same bits.
+    definite matrix form and also raises StepOverflow.  A tangent V steps as
+    Line(P, V) at t = 1.  The step ``t * line`` of a Line is taken from the
+    line's point (DimMismatch elsewhere) on what the line holds, bit for bit
+    as t V: the trial ``needs_dense`` kept is returned as it is for its own
+    step, and dense steps share one factorization of the whitened direction.
     """
+    line, t = (v.line, v.t) if isinstance(v, _LineStep) else (v, 1.0) if isinstance(v, Line) else (Line(p, v), 1.0)
+    if line.point is not p:
+        raise DimMismatch("a line steps only from its own point")
+    v = line.direction
     if isinstance(v, SpectralTangent):
-        shared = v._shared[0]
-        if shared is not None and shared[0] is p and shared[1] == v._scale:
-            point = SpdPoint._from_spectrum(shared[2], None, p._basis, checked=True)
+        if line._trial is not None and line._trial[0] == t:
+            point = SpdPoint._from_spectrum(line._trial[1], None, p._basis, checked=True)
             point._in_bounds = True
             return point
-        values = p.spectrum * np.exp(_whitened(p, v))
+        values = _spectral_trial(p.spectrum, v.coeffs, t)
         if not np.isfinite(values).all():
             raise StepOverflow("exponential-map result has non-finite entries")
         # A finite spread of at least the floor also makes every value positive.
-        if not _spread(values) >= _ROUNDING_FLOOR:
+        if not values.min() / values.max() >= _ROUNDING_FLOOR:
             raise StepOverflow("exponential-map result rounded outside the cone")
         return SpdPoint._from_spectrum(values, None, p._basis, checked=True)
-    step = _tangent_at(p, v)
+    step = _tangent_at(p, v if t == 1.0 else t * v)
     lam = p.eigen.values
     # Overflow here is reported by the finiteness check below.
     step_norm = float(np.linalg.norm(step, "fro"))
@@ -528,7 +523,7 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | DenseTangent) -> SpdP
     else:
         s = p.sqrt()
         try:
-            pair = v._eigen_at(p, step) if isinstance(v, DenseTangent) else _factor_whitened(p, step)[0]
+            pair = line._whitened_eigen(t, step)
             e = mat_func(None, np.exp, eigen=pair)
         except (SpectrumDomainError, InvalidMatrix) as err:
             raise StepOverflow("exponential of the whitened step is not finite") from err
@@ -541,35 +536,29 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | DenseTangent) -> SpdP
         raise StepOverflow("exponential-map result rounded outside the cone") from err
 
 
-def _factor_whitened(p: SpdPoint, step: np.ndarray) -> tuple[EigenPair, np.ndarray]:
-    """The eigenpair of the whitened step P^{-1/2} step P^{-1/2}, and that
-    matrix."""
-    si = p.inv_sqrt()
-    m = symmetrize(si @ step @ si)
-    return sym_eigen(m), m
-
-
 @quiet
-def needs_dense(p: SpdPoint, v: np.ndarray | SpectralTangent, steps: np.ndarray) -> bool:
-    """Whether an iteration from ``p`` along ``v`` belongs on the dense route.
+def needs_dense(line: Line, steps: np.ndarray) -> bool:
+    """Whether an iteration along ``line`` belongs on the dense route.
 
-    True when ``v`` is a SpectralTangent and the iterate, the coefficients
-    of ``v`` or any finite trial exp_P(t v) for t in ``steps`` leave the
-    range in which the spectral route reproduces the dense one: a spread
-    lambda_min / lambda_max below 1e-13, or eigenvalues or coefficients
-    beyond 1e100 in magnitude (eigenvalues also below 1e-100).  The solver
-    then continues from ``p.to_dense()``.  Non-finite trials need no
-    hand-over: both routes reject them as overflowing.
+    True when the line's direction is a SpectralTangent and its point, the
+    coefficients of its direction or any finite trial exp_P(t V) for t in
+    ``steps`` leave the range in which the spectral route reproduces the
+    dense one: a spread lambda_min / lambda_max below 1e-13, or eigenvalues
+    or coefficients beyond 1e100 in magnitude (eigenvalues also below
+    1e-100).  The solver then continues from ``line.point.to_dense()``.
+    Non-finite trials need no hand-over: both routes reject them as
+    overflowing.
 
     Only the first finite trial, largest step first, is formed: the log of
     a trial eigenvalue, log lambda + t c / lambda, is affine in t, so the
     log-spread is concave and log lambda_max convex in t, and each bound,
     like finiteness, holds on an interval of steps starting at t = 0.  A
     trial inside the bounds therefore vouches for every smaller step.  It is
-    formed as exp_map forms exp_P(t v), bit for bit, and kept for the
-    multiples of ``v``: exp_map(p, t * v) returns it without recomputing.
-    An iterate that is such a kept trial is not checked again.
+    formed by exp_map's formula and kept on the line, which returns it for
+    ``exp_map(point, t * line)`` without forming it again.  A point that is
+    such a kept trial is not checked again.
     """
+    p, v = line.point, line.direction
     if not isinstance(v, SpectralTangent):
         return False
     values, c = p.spectrum, v.coeffs
@@ -580,15 +569,14 @@ def needs_dense(p: SpdPoint, v: np.ndarray | SpectralTangent, steps: np.ndarray)
     if not c @ c <= _COEFF_SQUARES_INSIDE and np.abs(c).max() > _HANDOVER_SCALE:
         return True
     for t in steps:
-        trial = values * np.exp((c if t == 1.0 else t * c) / values)
+        trial = _spectral_trial(values, c, t)
         if _outside_handover_range(trial):
             # A trial inside the bounds is finite; one outside them hands
             # over only if it is finite.
             if np.isfinite(trial).all():
                 return True
             continue
-        if v._scale == 1.0 and p.spectral and trial.shape == values.shape:
-            v._shared[0] = (p, t, trial)
+        line._trial = (t, trial)
         return False
     return False
 

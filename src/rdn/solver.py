@@ -33,12 +33,13 @@ and continue on the dense route.  An iteration whose iterate, direction or
 possible trial points leave the range where the spectral route reproduces
 the dense one (manifold.needs_dense: spreads near the rounding floor,
 magnitudes near overflow) runs on the dense route instead, from the
-materialized iterate, so statuses and counters match it.  The trial that
-check forms for the first finite step is the one the full step or the line
-search then takes, not formed a second time; every trial is still one
-exp_map call.  Once a dense iteration commits its step, the run returns to
-the spectral route on the new iterate's eigendecomposition; the iterates
-after a hand-over agree with a purely dense run only to rounding.
+materialized iterate, so statuses and counters match it.  Each iteration
+searches along one manifold.Line, which keeps the trial that check forms and
+a dense direction's whitened factorization for the full step or the line
+search; every trial is still one exp_map call.  Once a dense iteration
+commits its step, the run returns to the spectral route on the new
+iterate's eigendecomposition; the iterates after a hand-over agree with
+a purely dense run only to rounding.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .errors import (
     StepOverflow,
 )
 from .linalg import quiet
-from .manifold import DenseTangent, SpdPoint, SpectralTangent, exp_map, inner, needs_dense, norm
+from .manifold import Line, SpdPoint, exp_map, inner, needs_dense, norm
 
 __all__ = [
     "Method",
@@ -152,9 +153,10 @@ class SolveTrace:
     merits decrease strictly, and final_merit lies below the last one,
     wherever each recorded 0.5 ||X||^2 agrees with the merit the Armijo test
     accepted.  They need not where the dense route forms the field from
-    subnormal products, as for f2 at ratios above about 1e155 (ROADMAP
-    item 4): ``f2 --ratio 1e160 --dim 3 --method damped --seed 0`` records
-    139 of its 500 merits at or above the one before.
+    subnormal products, as for f2 at ratios above about 1e155 (ROADMAP, "One
+    merit on both sides of the Armijo test"): ``f2 --ratio 1e160 --dim 3
+    --method damped --seed 0`` records 139 of its 500 merits at or above the
+    one before.
     """
 
     records: tuple[IterationRecord, ...]
@@ -202,7 +204,7 @@ class ArmijoResult:
 def armijo_stepsize(
     problem: Problem,
     p: SpdPoint,
-    v: np.ndarray,
+    v: Line | np.ndarray,
     sigma: float,
     max_backtracks: int = 60,
     *,
@@ -217,20 +219,20 @@ def armijo_stepsize(
     the test is applied as phi(exp_P(t v)) <= (1 - 2 sigma t) phi(P); for the
     gradient fallback v = -grad phi(P), so it is -<v, v>_P.  Trial points
     whose exponential overflows are rejected without a merit evaluation;
-    ``evaluations`` counts the merit evaluations performed.  A matrix
-    direction is wrapped in a DenseTangent, so that its trials share one
-    factorization of the whitened direction.
+    ``evaluations`` counts the merit evaluations performed.  ``v`` is the
+    iteration's Line from ``p``, or a bare direction put on a Line of its
+    own; each trial is one exp_map(p, t * line), on what the line holds.
     """
     if merit is None:
         merit = problem.merit_value(p)
+    line = v if isinstance(v, Line) else Line(p, v)
     if direction_kind is not DirectionKind.NEWTON:
-        slope = -inner(p, v, v)
-    step = v if isinstance(v, SpectralTangent) else DenseTangent(v)
+        slope = -inner(p, line.direction, line.direction)
     evaluations = 0
     for j in range(max_backtracks + 1):
         t = 2.0**-j
         try:
-            candidate = exp_map(p, t * step)
+            candidate = exp_map(p, t * line)
             trial = problem.merit_value(candidate)
         except (StepOverflow, InvalidPoint, SpectrumDomainError):
             continue
@@ -320,22 +322,17 @@ def solve(
             break
         try:
             v, kind = direction(problem, p)
-            if needs_dense(p, v, trial_steps):
+            line = Line(p, v)
+            if needs_dense(line, trial_steps):
                 p = p.to_dense()
                 handed_over = True
                 continue
             if config.method is Method.FULL:
-                nxt = exp_map(p, v)
+                nxt = exp_map(p, line)
                 alpha, backtracks, trial_evals = 1.0, 0, 0
             else:
                 result = armijo_stepsize(
-                    problem,
-                    p,
-                    v,
-                    config.sigma,
-                    config.max_backtracks,
-                    direction_kind=kind,
-                    merit=merit,
+                    problem, p, line, config.sigma, config.max_backtracks, direction_kind=kind, merit=merit
                 )
                 if not result.accepted:
                     status = Status.LINE_SEARCH_FAILED

@@ -19,7 +19,7 @@ import pytest
 import rdn
 from rdn import solver
 from rdn.bench import ExperimentSpec, table1_grid
-from rdn.manifold import SpectralTangent, exp_map, random_spd
+from rdn.manifold import Line, exp_map, random_spd
 from rdn.objectives import (
     Family,
     GradientField,
@@ -101,10 +101,12 @@ def test_table1_cells_agree_across_backends(seed, init_range):
     assert not failures, "; ".join(failures[:8])
 
 
-def _fresh_exp_map(p, v):
-    """exp_map with every spectral trial formed and checked again: a tangent
-    of the same coefficients that shares no trial with the hand-over check."""
-    return exp_map(p, SpectralTangent(v.coeffs) if isinstance(v, SpectralTangent) else v)
+def _fresh_exp_map(p, step):
+    """exp_map with every trial formed and checked again: the step t of a
+    line as the plain tangent t V, which shares nothing with the hand-over
+    check or with the other trials."""
+    line, t = (step, 1.0) if isinstance(step, Line) else (step.line, step.t)
+    return exp_map(p, t * line.direction)
 
 
 def _bits(x):
@@ -124,7 +126,9 @@ def _run_bits(spec):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_shared_trials_match_trials_formed_afresh(seed, init_range, monkeypatch):
     # The line search and the full step take the trial the hand-over check
-    # formed; forming every trial afresh must give the same runs, bit for bit.
+    # kept on the iteration's line, and a dense line's trials share one
+    # factorization; forming every trial afresh must give the same runs, bit
+    # for bit.
     specs = table1_grid(seed, max_dim=100, init_eig_range=init_range)
     exps = []
     exp = np.exp

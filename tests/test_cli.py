@@ -1,8 +1,9 @@
 import pytest
 
-from rdn.bench import RESULT_HEADER, TRACE_HEADER
+from rdn.bench import RESULT_HEADER, TRACE_HEADER, ExperimentSpec
 from rdn.cli import main
-from rdn.solver import Status
+from rdn.objectives import Family
+from rdn.solver import Method, Status
 
 
 def test_single_run_converges(tmp_path, capsys):
@@ -141,8 +142,9 @@ def test_thread_count_below_one_is_a_usage_error(monkeypatch, capsys, threads):
         ([*SINGLE_RUN, "--trace", "{missing}/t.csv"], "--trace"),
         ([*SINGLE_RUN, "--out", "{here}"], "directory"),
         ([*SINGLE_RUN, "--max-dim", "5"], "--max-dim"),
+        (_replace(SINGLE_RUN, "--dim", str(10**20)), "physical memory"),
     ],
-    ids=["seed", "max-dim", "out", "trace", "out-is-a-directory", "max-dim-without-table1"],
+    ids=["seed", "max-dim", "out", "trace", "out-is-a-directory", "max-dim-without-table1", "dim-beyond-memory"],
 )
 def test_bad_input_fails_before_any_run(argv, message, tmp_path, monkeypatch, capsys):
     def no_runs(*args, **kwargs):
@@ -154,6 +156,18 @@ def test_bad_input_fails_before_any_run(argv, message, tmp_path, monkeypatch, ca
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and message in err
+
+
+def test_dim_is_bounded_by_physical_memory(monkeypatch, capsys):
+    # Every run forms the n x n minimizer, so the bound is an n x n float64
+    # matrix; here memory holds exactly the 50 x 50 one.  Nothing is run.
+    monkeypatch.setattr("rdn.bench._physical_memory", lambda: 8 * 50 * 50)
+    monkeypatch.setattr("rdn.cli.run_grid", lambda *args, **kwargs: pytest.fail("ran the grid"))
+    assert ExperimentSpec(Family.F1, 1.0, 50, Method.DAMPED, 0).dim == 50
+    with pytest.raises(SystemExit) as exc:
+        main(_replace(SINGLE_RUN, "--dim", "51"))
+    assert exc.value.code == 2
+    assert "physical memory" in capsys.readouterr().err
 
 
 def test_overflowing_merit_gradient_is_a_status_row(tmp_path, capsys):

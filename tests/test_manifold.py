@@ -9,7 +9,7 @@ from rdn import manifold, objectives
 from rdn.errors import DimMismatch, InvalidPoint, InvalidRange, SpectrumDomainError, StepOverflow
 from rdn.linalg import mat_func, sym_eigen, symmetrize
 from rdn.manifold import (
-    DenseTangent,
+    Line,
     SpdPoint,
     SpectralTangent,
     distance,
@@ -259,8 +259,8 @@ class TestDenseTangent:
             calls = _counting_eigh(monkeypatch)
             want = [_trial(p, 2.0**-j * v) for j in js]
             own = len(calls)
-            step = DenseTangent(v)
-            got = [_trial(p, 2.0**-j * step) for j in js]
+            line = Line(p, v)
+            got = [_trial(p, 2.0**-j * line) for j in js]
             shared = len(calls) - own
             monkeypatch.undo()
             mismatched = [j for j, g, w in zip(js, got, want) if g != w]
@@ -276,21 +276,17 @@ class TestDenseTangent:
         p, q = random_spd(5, 1.0, 3.0, seed=6), random_spd(5, 1.0, 3.0, seed=7)
         v = random_symmetric(rng, 5)
         p.eigen, q.eigen
-        step = DenseTangent(v)
-        exp_map(p, step)
+        line = Line(p, v)
+        exp_map(p, line)
         calls = _counting_eigh(monkeypatch)
-        assert _trial(p, 0.25 * step) == _trial(p, 0.25 * v)
+        assert _trial(p, 0.25 * line) == _trial(p, 0.25 * v)
         assert len(calls) == 1  # the plain ndarray's own
-        for t, at in ((0.75, p), (0.5, q), (2.0, p)):
-            assert _trial(at, t * step) == _trial(at, t * v)
+        # A line steps only from its own point (see
+        # test_line_steps_at_another_point_raise), so q gets its own line,
+        # whose first step factors its own.
+        for t, at, along in ((0.75, p, line), (0.5, q, Line(q, v)), (2.0, p, line)):
+            assert _trial(at, t * along) == _trial(at, t * v)
         assert len(calls) == 7
-
-    def test_norm_and_inner_read_the_scaled_matrix(self):
-        p = random_spd(4, 1.0, 3.0, seed=8)
-        v = random_symmetric(np.random.default_rng(8), 4)
-        step = 0.125 * DenseTangent(v)
-        assert norm(p, step) == norm(p, 0.125 * v)
-        assert inner(p, step, step) == inner(p, 0.125 * v, 0.125 * v)
 
 
 class TestDistance:
@@ -404,35 +400,35 @@ class TestSpectralSeam:
     def test_hand_over_near_the_rounding_floor(self):
         p = SpdPoint.from_frame(np.ones(2), np.eye(2))
         v = SpectralTangent(np.array([0.0, np.log(1e-15)]))
-        assert needs_dense(p, v, np.array([1.0]))
-        assert not needs_dense(p, v, np.array([0.5, 0.25]))
-        assert not needs_dense(p, np.diag(v.coeffs), np.array([1.0]))
+        assert needs_dense(Line(p, v), np.array([1.0]))
+        assert not needs_dense(Line(p, v), np.array([0.5, 0.25]))
+        assert not needs_dense(Line(p, np.diag(v.coeffs)), np.array([1.0]))
         narrow = SpdPoint.from_frame(np.array([1e-14, 1.0]), np.eye(2))
-        assert needs_dense(narrow, SpectralTangent(np.zeros(2)), np.array([1.0]))
+        assert needs_dense(Line(narrow, SpectralTangent(np.zeros(2))), np.array([1.0]))
 
     def test_hand_over_below_the_rounding_floor(self):
         # The dense route accepts a few materialized matrices at a spread of
         # 1e-18, so such a trial is left to it rather than rejected here.
         p = SpdPoint.from_frame(np.ones(2), np.eye(2))
         v = SpectralTangent(np.array([0.0, np.log(1e-18)]))
-        assert needs_dense(p, v, np.array([1.0, 0.5]))
+        assert needs_dense(Line(p, v), np.array([1.0, 0.5]))
         with pytest.raises(StepOverflow):
             exp_map(p, v)
         underflow = SpectralTangent(np.array([0.0, -800.0]))
-        assert needs_dense(p, underflow, np.array([1.0]))
+        assert needs_dense(Line(p, underflow), np.array([1.0]))
 
     def test_overflowing_trials_stay_spectral(self):
         p = SpdPoint.from_frame(np.ones(2), np.eye(2))
-        assert not needs_dense(p, SpectralTangent(np.array([800.0, 0.0])), np.array([1.0]))
+        assert not needs_dense(Line(p, SpectralTangent(np.array([800.0, 0.0]))), np.array([1.0]))
 
     def test_hand_over_at_extreme_magnitudes(self):
         still = SpectralTangent(np.zeros(2))
         for values in ([1e101, 2e101], [1e-101, 2e-101]):
-            assert needs_dense(SpdPoint.from_frame(np.array(values), np.eye(2)), still, np.ones(1))
+            assert needs_dense(Line(SpdPoint.from_frame(np.array(values), np.eye(2)), still), np.ones(1))
         p = SpdPoint.from_frame(np.array([1.0, 2.0]), np.eye(2))
-        assert needs_dense(p, SpectralTangent(np.array([0.0, 1e101])), np.array([2.0**-400]))
-        assert needs_dense(p, SpectralTangent(np.array([240.0, 480.0])), np.ones(1))  # trial 1.7e104
-        assert not needs_dense(p, SpectralTangent(np.array([200.0, 400.0])), np.ones(1))
+        assert needs_dense(Line(p, SpectralTangent(np.array([0.0, 1e101]))), np.array([2.0**-400]))
+        assert needs_dense(Line(p, SpectralTangent(np.array([240.0, 480.0]))), np.ones(1))  # trial 1.7e104
+        assert not needs_dense(Line(p, SpectralTangent(np.array([200.0, 400.0]))), np.ones(1))
 
     def test_dense_and_spectral_forms_agree(self):
         rng = np.random.default_rng(16)
@@ -466,39 +462,39 @@ def _fresh(p, v):
 
 
 class TestSharedTrial:
-    """needs_dense keeps the first finite trial it forms for the multiples of
-    its tangent; exp_map returns it only for that step at that point."""
+    """needs_dense keeps the first finite trial it forms on the line; exp_map
+    returns it only for that step of that line."""
 
     def _setup(self):
         p = random_spd(6, 1.0, 10.0, seed=21).to_spectral()
         v = SpectralTangent(np.random.default_rng(21).uniform(-2.0, 2.0, 6))
-        return p, v
+        return p, v, Line(p, v)
 
     def test_reused_at_the_same_point_and_step(self, monkeypatch):
-        p, v = self._setup()
-        assert not needs_dense(p, v, np.array([1.0, 0.5]))
+        p, v, line = self._setup()
+        assert not needs_dense(line, np.array([1.0, 0.5]))
         calls = _counting_exp(monkeypatch)
-        step = exp_map(p, 1.0 * v)
-        again = exp_map(p, v)
+        step = exp_map(p, 1.0 * line)
+        again = exp_map(p, line)
         assert calls == []
         want = _fresh(p, v)
         assert np.array_equal(step.spectrum, want.spectrum) and np.array_equal(again.spectrum, want.spectrum)
         assert step.frame[1] is p.frame[1]
 
     def test_others_form_their_own(self, monkeypatch):
-        p, v = self._setup()
-        assert not needs_dense(p, v, np.array([1.0, 0.5]))
+        p, v, line = self._setup()
+        assert not needs_dense(line, np.array([1.0, 0.5]))
         twin = SpdPoint.from_frame(p.spectrum, p.frame[1])
-        others = [
-            (twin, 1.0 * v),  # another point, though equal
-            (p, 0.5 * v),  # another step
-            (p, SpectralTangent(v.coeffs)),  # an unrelated tangent, the same coefficients
-            (p, 2.0 * (0.5 * v)),  # a multiple of a multiple
+        others = [  # (point, step, the plain tangent it takes)
+            (twin, 1.0 * Line(twin, v), v),  # another point, though equal, on a line of its own
+            (p, 0.5 * line, 0.5 * v),  # another step
+            (p, SpectralTangent(v.coeffs), v),  # an unrelated tangent, the same coefficients
+            (p, Line(p, v), v),  # another line along the same tangent
         ]
         calls = _counting_exp(monkeypatch)
-        for point, step in others:
+        for point, step, plain in others:
             got = exp_map(point, step)
-            assert np.array_equal(got.spectrum, _fresh(point, step).spectrum)
+            assert np.array_equal(got.spectrum, _fresh(point, plain).spectrum)
         assert len(calls) == 2 * len(others)  # each formed its own, as _fresh did
 
     def test_overflowing_larger_steps_still_raise(self, monkeypatch):
@@ -507,35 +503,51 @@ class TestSharedTrial:
         values = np.array([1e-90, 2e-90])
         p = SpdPoint.from_frame(values, np.eye(2))
         v = SpectralTangent(800.0 * values)
-        assert not needs_dense(p, v, np.array([1.0, 0.5, 0.25]))
+        line = Line(p, v)
+        assert not needs_dense(line, np.array([1.0, 0.5, 0.25]))
         calls = _counting_exp(monkeypatch)
         with pytest.raises(StepOverflow):
-            exp_map(p, 1.0 * v)
+            exp_map(p, 1.0 * line)
         assert len(calls) == 1
-        half = exp_map(p, 0.5 * v)
+        half = exp_map(p, 0.5 * line)
         assert len(calls) == 1
         assert np.array_equal(half.spectrum, _fresh(p, 0.5 * v).spectrum)
 
     def test_no_trial_is_kept_where_the_iteration_hands_over(self, monkeypatch):
         p = SpdPoint.from_frame(np.ones(2), np.eye(2))
-        v = SpectralTangent(np.array([0.0, np.log(1e-15)]))
-        assert needs_dense(p, v, np.array([1.0]))
+        line = Line(p, SpectralTangent(np.array([0.0, np.log(1e-15)])))
+        assert needs_dense(line, np.array([1.0]))
         calls = _counting_exp(monkeypatch)
-        exp_map(p, v)
+        exp_map(p, line)
         assert len(calls) == 1
 
     def test_checked_trial_is_not_checked_again_as_the_next_iterate(self, monkeypatch):
-        p, v = self._setup()
-        assert not needs_dense(p, v, np.ones(1))
-        q = exp_map(p, v)
+        p, v, line = self._setup()
+        assert not needs_dense(line, np.ones(1))
+        q = exp_map(p, line)
         ranges = []
         check = manifold._outside_handover_range
         monkeypatch.setattr(manifold, "_outside_handover_range", lambda x: ranges.append(x) or check(x))
-        assert not needs_dense(q, SpectralTangent(np.zeros(6)), np.ones(1))
+        assert not needs_dense(Line(q, SpectralTangent(np.zeros(6))), np.ones(1))
         assert len(ranges) == 1 and ranges[0] is not q.spectrum  # only the new trial
         ranges.clear()
-        assert not needs_dense(_fresh(p, v), SpectralTangent(np.zeros(6)), np.ones(1))
+        assert not needs_dense(Line(_fresh(p, v), SpectralTangent(np.zeros(6))), np.ones(1))
         assert len(ranges) == 2  # the iterate and the trial
+
+
+def test_line_steps_at_another_point_raise():
+    # A line belongs to the point it was made at.  An equal point held in
+    # another object is another point: stepping there raises instead of
+    # reading the trial or the factorization the line keeps.
+    p, twin = (random_spd(3, 1.0, 3.0, seed=9).to_spectral() for _ in range(2))
+    dense = Line(p.to_dense(), random_symmetric(np.random.default_rng(9), 3))
+    exp_map(dense.point, 0.5 * dense)
+    spectral = Line(p, SpectralTangent(np.ones(3)))
+    assert not needs_dense(spectral, np.ones(1))
+    for line, at in ((dense, twin.to_dense()), (spectral, twin)):
+        for step in (line, 0.5 * line):
+            with pytest.raises(DimMismatch):
+                exp_map(at, step)
 
 
 _TRIAL_STEPS = np.ldexp(1.0, -np.arange(61))
@@ -598,7 +610,7 @@ def test_needs_dense_agrees_with_the_scan_of_every_trial(case, aim):
             lo, hi = (lo, mid) if scan(_bits_to_float(mid)) else (mid, hi)
         scales += [_bits_to_float(lo), _bits_to_float(hi)]
     for scale in scales:
-        got, want = needs_dense(p, SpectralTangent(scale * coeffs), _TRIAL_STEPS), scan(scale)
+        got, want = needs_dense(Line(p, SpectralTangent(scale * coeffs)), _TRIAL_STEPS), scan(scale)
         # needs_dense reads a subset of the scan's rows, so it never hands over
         # where the scan does not.  The converse rests on each bound holding on
         # an interval of steps from t = 0, which rounding can break only by an
@@ -624,7 +636,7 @@ def test_certificates_decide_as_the_scans_they_replace(entries):
     x = np.array([-e if negate else e for e, negate in entries])
     finite, beyond = bool(np.isfinite(x).all()), bool(np.abs(x).max() > 1e100)
     unit = SpdPoint.from_frame(np.ones(x.size), np.eye(x.size))
-    assert needs_dense(unit, SpectralTangent(x), np.empty(0)) == beyond
+    assert needs_dense(Line(unit, SpectralTangent(x)), np.empty(0)) == beyond
     # The two private checks run inside quiet callers in the solver.
     with np.errstate(all="ignore"):
         try:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rdn.bench import table1_grid
 from rdn.errors import SingularOperator, StationaryOfMerit
 from rdn.linalg import symmetrize
 from rdn.manifold import SpdPoint, SpectralTangent, exp_map, inner, norm, random_spd
@@ -266,6 +267,48 @@ class TestSolve:
         backtracks = sum(r.backtracks for r in trace.records)
         assert trace.ge == 2 * trace.nit + backtracks
         assert backtracks > 0 and trace.ge > trace.nit
+
+    @pytest.mark.parametrize("seed", (42, 3))
+    def test_each_trial_is_one_exp_map_call_from_the_line_search(self, seed, monkeypatch):
+        # The benchmark's tracer counts a trial as an exp_map call made in the
+        # line search, and an unevaluated trial as such a call, or the merit
+        # evaluation after it, that raises.  That holds while each trial is
+        # one exp_map call and a hand-over's trials are formed by needs_dense
+        # alone, which these runs (many hand over or overflow) check.
+        calls, raises = {}, {}
+
+        def counting(name, fn):
+            def run(*args):
+                calls[name] += 1
+                try:
+                    return fn(*args)
+                except Exception:
+                    raises[name] += 1
+                    raise
+
+            return run
+
+        monkeypatch.setattr("rdn.solver.exp_map", counting("exp_map", exp_map))
+        monkeypatch.setattr(GradientField, "merit_value", counting("merit", GradientField.merit_value))
+        checked, unevaluated, failures = 0, 0, []
+        for spec in table1_grid(seed, max_dim=100, init_eig_range=(1.0, 10.0)):
+            if spec.method is not Method.DAMPED:
+                continue
+            calls.update(exp_map=0, merit=0)
+            raises.update(exp_map=0, merit=0)
+            p0 = random_spd(spec.dim, *spec.init_eig_range, seed=spec.seed)
+            _, trace = solve(GradientField(spec.objective()), p0, spec.config())
+            if trace.status is not Status.CONVERGED:
+                continue
+            backtracks = sum(r.backtracks for r in trace.records)
+            want = (trace.nit + backtracks, 2 * trace.nit + backtracks - trace.ge)
+            got = (calls["exp_map"], raises["exp_map"] + raises["merit"])
+            if got != want:
+                failures.append(f"{spec.family.value} {spec.ratio} n={spec.dim}: {got} != {want}")
+            checked += 1
+            unevaluated += want[1]
+        assert not failures, failures
+        assert checked >= 10 and unevaluated > 0
 
     def test_full_counters(self):
         obj = Objective(Family.F1, 1.0, 1.0)
