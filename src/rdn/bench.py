@@ -66,9 +66,9 @@ class ExperimentSpec:
     dim: int
     method: Method
     seed: int
-    sigma: float = 1e-4
-    grad_tol: float = 1e-8
-    max_iters: int = 500
+    sigma: float = SolverConfig.sigma
+    grad_tol: float = SolverConfig.grad_tol
+    max_iters: int = SolverConfig.max_iters
     init_eig_range: tuple[float, float] = (1.0, 10.0)
 
     def __post_init__(self):

@@ -13,9 +13,10 @@ Full grid (both families, ratios 0.1/1.0/1.5 and 0.001/0.002/0.01, dims
 Exit code is 0 iff every requested run converged; invalid arguments (and an
 RDN_THREADS that is not a positive integer, or an output path that is a
 directory or lies in a missing one) exit with 2 and a usage message before any
-run.  The CSV keeps its wall-clock column at 0.0 unless --wall-times is given,
-so identical invocations produce byte-identical files; measured times are
-always printed in the per-run summary.
+run, as does an output that cannot be written after the runs (a full disk).
+The CSV keeps its wall-clock column at 0.0 unless --wall-times is given, so
+identical invocations produce byte-identical files; measured times are always
+printed in the per-run summary.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 
 from .bench import ExperimentSpec, _worker_count, emit_csv, emit_trace, run_grid, table1_grid
 from .objectives import Family
-from .solver import Method, Status
+from .solver import Method, SolverConfig, Status
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -49,15 +50,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dim", type=int, help="matrix dimension n")
     parser.add_argument("--method", choices=[m.value for m in Method], help="solver variant")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
-    parser.add_argument("--sigma", type=float, default=1e-4, help="line-search slope factor")
-    parser.add_argument("--tol", type=float, default=1e-8, help="gradient-norm stop tolerance")
-    parser.add_argument("--max-iters", type=int, default=500, help="iteration cap")
+    parser.add_argument("--sigma", type=float, default=SolverConfig.sigma, help="line-search slope factor")
+    parser.add_argument("--tol", type=float, default=SolverConfig.grad_tol, help="gradient-norm stop tolerance")
+    parser.add_argument("--max-iters", type=int, default=SolverConfig.max_iters, help="iteration cap")
+    low, high = ExperimentSpec.init_eig_range
     parser.add_argument(
         "--init-range",
         type=_parse_range,
-        default=(1.0, 10.0),
+        default=ExperimentSpec.init_eig_range,
         metavar="LOW,HIGH",
-        help="spectrum range of the random start (default 1,10)",
+        help=f"spectrum range of the random start (default {low:g},{high:g})",
     )
     parser.add_argument("--out", metavar="FILE", help="write results CSV here")
     parser.add_argument("--trace", metavar="FILE", help="write the per-iteration trace CSV here (single run only)")
@@ -128,10 +130,14 @@ def main(argv: list[str] | None = None) -> int:
                 f"time={r.time_s:.3f}s grad={r.final_grad_norm:.3e} dist={r.final_dist_to_star:.3e}"
             )
 
-    if args.out:
-        emit_csv(results, args.out, wall_times=args.wall_times)
-    if args.trace:
-        emit_trace(results[0].trace, args.trace)
+    # Exit 1 means a run did not converge, so a failed write exits 2.
+    try:
+        if args.out:
+            emit_csv(results, args.out, wall_times=args.wall_times)
+        if args.trace:
+            emit_trace(results[0].trace, args.trace)
+    except OSError as err:
+        parser.error(str(err))
 
     return 0 if all(r.status == Status.CONVERGED.value for r in results) else 1
 

@@ -14,11 +14,12 @@ projection is ever needed.  Geodesic distance is ||log(A^{-1/2} B A^{-1/2})||_F.
 Points are immutable and carry a lazily computed eigendecomposition, from
 which P^{1/2}, P^{-1/2} and P^{-1} are formed once, on first use, and kept.
 A damped iteration tries exp_P(2^-j V), j = 0, 1, ..., along one geodesic,
-a Line.  Along a dense V, exp_P(t V) = P^{1/2} Q diag(e^{t w}) Q^T P^{1/2}
-with (w, Q) the eigenpair of the whitened P^{-1/2} V P^{-1/2} (Pennec,
-Fillard & Ayache, IJCV 66, 2006).  The line keeps that eigenpair, so a line
-search pays for one factorization of the whitened direction and one per
-accepted or evaluated trial point, not one per backtrack.
+a Line, whose step t is ``exp_map(p, line, t)``.  Along a dense V,
+exp_P(t V) = P^{1/2} Q diag(e^{t w}) Q^T P^{1/2} with (w, Q) the eigenpair
+of the whitened P^{-1/2} V P^{-1/2} (Pennec, Fillard & Ayache, IJCV 66,
+2006).  The line keeps that eigenpair, so a line search pays for one
+factorization of the whitened direction and one per accepted or evaluated
+trial point, not one per backtrack.
 
 Spectral seam.  A point may instead be held in spectral form, a frame
 (values, basis) with P = basis diag(values) basis^T, and a tangent that
@@ -344,12 +345,12 @@ def _smallest_magnitude(a: np.ndarray) -> float:
 class Line:
     """The geodesic t -> exp_P(t V) that one iteration searches along.
 
-    ``exp_map(point, t * line)`` is bit for bit ``exp_map(point, t * direction)``
-    (``exp_map(point, line)`` for t = 1), from what the steps share: the trial
-    ``needs_dense`` kept, returned for its own step, and the eigenpair of the
-    whitened direction that the first factored step forms and later steps
-    scale where that gives the same bits (see _SCALING_FLOOR).  A step at a
-    point other than the line's raises DimMismatch.
+    ``exp_map(point, line, t)`` is bit for bit ``exp_map(point, t * direction)``,
+    from what the steps share: the trial ``needs_dense`` kept, returned for
+    its own step, and the eigenpair of the whitened direction that the first
+    factored step forms and later steps scale where that gives the same bits
+    (see _SCALING_FLOOR).  A step at a point other than the line's raises
+    DimMismatch.
     """
 
     # _trial: (t, eigenvalues) that needs_dense found inside the hand-over
@@ -364,9 +365,6 @@ class Line:
             direction = np.asarray(direction, dtype=float)
         self.point, self.direction = point, direction
         self._trial = self._whitened = None
-
-    def __rmul__(self, t: float) -> "_LineStep":
-        return _LineStep(self, t)
 
     def _whitened_eigen(self, t: float, step: np.ndarray) -> EigenPair:
         """The eigenpair of P^{-1/2} step P^{-1/2}, step = sym(t V): the kept one
@@ -389,15 +387,6 @@ class Line:
                 )
             self._whitened = (t, pair, floor)
         return pair
-
-
-class _LineStep:
-    """The step t of a Line, as ``t * line`` makes it."""
-
-    __slots__ = ("line", "t")
-
-    def __init__(self, line: Line, t: float):
-        self.line, self.t = line, t
 
 
 def _frame_values(p: SpdPoint, v: SpectralTangent) -> np.ndarray:
@@ -469,8 +458,8 @@ _TINY = float(np.finfo(float).tiny)
 
 
 @quiet
-def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line | _LineStep) -> SpdPoint:
-    """Geodesic step exp_P(V) = P^{1/2} e^{P^{-1/2} V P^{-1/2}} P^{1/2}.
+def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0) -> SpdPoint:
+    """Geodesic step exp_P(t V) = P^{1/2} e^{P^{-1/2} t V P^{-1/2}} P^{1/2}.
 
     Defined for every symmetric V; the result is positive definite without
     any projection.  Steps whose exponential overflows the floating-point
@@ -487,12 +476,13 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line | _LineStep) -> 
     A SpectralTangent steps in closed form on the point's frame; a result
     whose spread lambda_min / lambda_max falls below 1e-17 has no positive
     definite matrix form and also raises StepOverflow.  A tangent V steps as
-    Line(P, V) at t = 1.  The step ``t * line`` of a Line is taken from the
-    line's point (DimMismatch elsewhere) on what the line holds, bit for bit
-    as t V: the trial ``needs_dense`` kept is returned as it is for its own
-    step, and dense steps share one factorization of the whitened direction.
+    Line(P, V).  The step t of a Line is taken from the line's point
+    (DimMismatch elsewhere) on what the line holds, bit for bit as the
+    tangent t V: the trial ``needs_dense`` kept is returned as it is for its
+    own step, and dense steps share one factorization of the whitened
+    direction.
     """
-    line, t = (v.line, v.t) if isinstance(v, _LineStep) else (v, 1.0) if isinstance(v, Line) else (Line(p, v), 1.0)
+    line = v if isinstance(v, Line) else Line(p, v)
     if line.point is not p:
         raise DimMismatch("a line steps only from its own point")
     v = line.direction
@@ -555,7 +545,7 @@ def needs_dense(line: Line, steps: np.ndarray) -> bool:
     like finiteness, holds on an interval of steps starting at t = 0.  A
     trial inside the bounds therefore vouches for every smaller step.  It is
     formed by exp_map's formula and kept on the line, which returns it for
-    ``exp_map(point, t * line)`` without forming it again.  A point that is
+    ``exp_map(point, line, t)`` without forming it again.  A point that is
     such a kept trial is not checked again.
     """
     p, v = line.point, line.direction
@@ -597,6 +587,15 @@ def _scalar_coefficient(p: SpdPoint) -> float | None:
     return None
 
 
+def _log_ratio(x: np.ndarray | np.float64, c: float) -> np.ndarray | np.float64:
+    """log(x / c) for positive finite x and c; where x / c is not a normal
+    float (it overflows, or is subnormal or zero), log x - log c instead."""
+    r = x / c
+    if r.min() >= _TINY and r.max() < math.inf:
+        return np.log(r)
+    return np.where((r >= _TINY) & (r < math.inf), np.log(r), np.log(x) - np.log(c))
+
+
 @quiet
 def distance(a: SpdPoint, b: SpdPoint) -> float:
     """Geodesic distance ||log(A^{-1/2} B A^{-1/2})||_F.
@@ -612,10 +611,10 @@ def distance(a: SpdPoint, b: SpdPoint) -> float:
     ca = _scalar_coefficient(a)
     cb = _scalar_coefficient(b)
     if ca is not None and cb is not None:
-        return abs(float(np.log(cb / ca))) * float(np.sqrt(a.dim))
+        return abs(float(_log_ratio(np.float64(cb), ca))) * float(np.sqrt(a.dim))
     if ca is not None or cb is not None:
         lam, c = (b.spectrum, ca) if cb is None else (a.spectrum, cb)
-        return float(np.sqrt(np.sum(np.log(lam / c) ** 2)))
+        return float(np.sqrt(np.sum(_log_ratio(lam, c) ** 2)))
     s = a.inv_sqrt()
     c = symmetrize(s @ b.matrix @ s)
     pair = sym_eigen(c)

@@ -36,7 +36,7 @@ magnitudes near overflow) runs on the dense route instead, from the
 materialized iterate, so statuses and counters match it.  Each iteration
 searches along one manifold.Line, which keeps the trial that check forms and
 a dense direction's whitened factorization for the full step or the line
-search; every trial is still one exp_map call.  Once a dense iteration
+search; every trial is one exp_map(p, line, t) call.  Once a dense iteration
 commits its step, the run returns to the spectral route on the new
 iterate's eigendecomposition; the iterates after a hand-over agree with
 a purely dense run only to rounding.
@@ -206,7 +206,7 @@ def armijo_stepsize(
     p: SpdPoint,
     v: Line | np.ndarray,
     sigma: float,
-    max_backtracks: int = 60,
+    max_backtracks: int = SolverConfig.max_backtracks,
     *,
     direction_kind: DirectionKind = DirectionKind.NEWTON,
     merit: float | None = None,
@@ -221,7 +221,7 @@ def armijo_stepsize(
     whose exponential overflows are rejected without a merit evaluation;
     ``evaluations`` counts the merit evaluations performed.  ``v`` is the
     iteration's Line from ``p``, or a bare direction put on a Line of its
-    own; each trial is one exp_map(p, t * line), on what the line holds.
+    own; each trial is one exp_map(p, line, t), on what the line holds.
     """
     if merit is None:
         merit = problem.merit_value(p)
@@ -232,7 +232,7 @@ def armijo_stepsize(
     for j in range(max_backtracks + 1):
         t = 2.0**-j
         try:
-            candidate = exp_map(p, t * line)
+            candidate = exp_map(p, line, t)
             trial = problem.merit_value(candidate)
         except (StepOverflow, InvalidPoint, SpectrumDomainError):
             continue

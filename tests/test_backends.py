@@ -19,7 +19,7 @@ import pytest
 import rdn
 from rdn import solver
 from rdn.bench import ExperimentSpec, table1_grid
-from rdn.manifold import Line, exp_map, random_spd
+from rdn.manifold import exp_map, random_spd
 from rdn.objectives import (
     Family,
     GradientField,
@@ -101,12 +101,11 @@ def test_table1_cells_agree_across_backends(seed, init_range):
     assert not failures, "; ".join(failures[:8])
 
 
-def _fresh_exp_map(p, step):
-    """exp_map with every trial formed and checked again: the step t of a
-    line as the plain tangent t V, which shares nothing with the hand-over
-    check or with the other trials."""
-    line, t = (step, 1.0) if isinstance(step, Line) else (step.line, step.t)
-    return exp_map(p, t * line.direction)
+def _fresh_exp_map(p, v, t=1.0):
+    """exp_map with every trial formed and checked again: the step t of the
+    line ``v`` as the plain tangent t V, which shares nothing with the
+    hand-over check or with the other trials."""
+    return exp_map(p, t * v.direction)
 
 
 def _bits(x):

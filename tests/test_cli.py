@@ -1,9 +1,11 @@
+import os
+
 import pytest
 
 from rdn.bench import RESULT_HEADER, TRACE_HEADER, ExperimentSpec
-from rdn.cli import main
+from rdn.cli import build_parser, main
 from rdn.objectives import Family
-from rdn.solver import Method, Status
+from rdn.solver import Method, SolverConfig, Status
 
 
 def test_single_run_converges(tmp_path, capsys):
@@ -180,3 +182,41 @@ def test_overflowing_merit_gradient_is_a_status_row(tmp_path, capsys):
     assert status in (Status.LINE_SEARCH_FAILED.value, Status.STEP_OVERFLOW.value)
     captured = capsys.readouterr()
     assert status in captured.out and captured.err == ""
+
+
+def test_distance_from_a_subnormal_minimizer_is_finite(tmp_path):
+    # lambda / c overflows for c = 1e-320; distance reads log lambda - log c.
+    out = tmp_path / "r.csv"
+    code = main(["--family", "f1", "--ratio", "1e-320", "--dim", "3", "--method", "damped", "--out", str(out), "--quiet"])
+    assert code == 1
+    header, row = out.read_text().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert (fields["status"], fields["nit"]) == (Status.STEP_OVERFLOW.value, "0")
+    assert float(fields["final_dist"]) == pytest.approx(1278.2162370378155, rel=1e-14)
+
+
+def _fail_to_write(path, lines):
+    raise OSError(f"cannot write {path}: [Errno 28] No space left on device")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+@pytest.mark.parametrize("how", ["dev-full", "patched"])
+def test_output_that_cannot_be_written_after_the_runs_is_exit_2(flag, how, tmp_path, monkeypatch, capsys):
+    path = "/dev/full"
+    if how == "patched":
+        monkeypatch.setattr("rdn.bench._write_lines", _fail_to_write)
+        path = str(tmp_path / "r.csv")
+    elif not os.path.exists(path):
+        pytest.skip("no /dev/full on this platform")
+    with pytest.raises(SystemExit) as exc:
+        main(["--family", "f1", "--ratio", "0.1", "--dim", "3", "--method", "damped", flag, path, "--quiet"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"rdn-bench: error: cannot write {path}" in err and "Traceback" not in err
+
+
+def test_parser_defaults_are_the_dataclasses_defaults():
+    args = build_parser().parse_args([])
+    config = SolverConfig()
+    assert (args.sigma, args.tol, args.max_iters) == (config.sigma, config.grad_tol, config.max_iters)
+    assert args.init_range == ExperimentSpec(Family.F1, 1.0, 1, Method.DAMPED, 0).init_eig_range

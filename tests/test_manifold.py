@@ -192,6 +192,16 @@ class TestExpMap:
         q = exp_map(SpdPoint(tiny * p0), tiny * (1e-8 * p0))
         assert np.allclose(q.matrix, np.exp(1e-8) * (tiny * p0), rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("t", [1.0, 0.5, 0.75, 2.0])
+    def test_step_argument_is_the_scaled_tangent_bitwise(self, t):
+        rng = np.random.default_rng(11)
+        p = random_spd(5, 0.5, 3.0, seed=11)
+        for v in (random_symmetric(rng, 5), 1e-8 * random_symmetric(rng, 5)):  # factored and series
+            assert exp_map(p, v, t).matrix.tobytes() == exp_map(p, t * v).matrix.tobytes()
+        s = p.to_spectral()
+        v = SpectralTangent(rng.uniform(-2.0, 2.0, 5))
+        assert exp_map(s, v, t).spectrum.tobytes() == exp_map(s, t * v).spectrum.tobytes()
+
 
 def test_error_state_is_the_callers_after_an_overflowing_step():
     p = SpdPoint(np.eye(3)).to_spectral()
@@ -208,10 +218,10 @@ def test_error_state_is_the_callers_after_an_overflowing_step():
     assert np.geterr() == before
 
 
-def _trial(p, v):
-    """The bits of exp_map(p, v), or StepOverflow if it raises that."""
+def _trial(p, v, t=1.0):
+    """The bits of exp_map(p, v, t), or StepOverflow if it raises that."""
     try:
-        return exp_map(p, v).matrix.tobytes()
+        return exp_map(p, v, t).matrix.tobytes()
     except StepOverflow:
         return StepOverflow
 
@@ -260,7 +270,7 @@ class TestDenseTangent:
             want = [_trial(p, 2.0**-j * v) for j in js]
             own = len(calls)
             line = Line(p, v)
-            got = [_trial(p, 2.0**-j * line) for j in js]
+            got = [_trial(p, line, 2.0**-j) for j in js]
             shared = len(calls) - own
             monkeypatch.undo()
             mismatched = [j for j, g, w in zip(js, got, want) if g != w]
@@ -279,13 +289,13 @@ class TestDenseTangent:
         line = Line(p, v)
         exp_map(p, line)
         calls = _counting_eigh(monkeypatch)
-        assert _trial(p, 0.25 * line) == _trial(p, 0.25 * v)
+        assert _trial(p, line, 0.25) == _trial(p, 0.25 * v)
         assert len(calls) == 1  # the plain ndarray's own
         # A line steps only from its own point (see
         # test_line_steps_at_another_point_raise), so q gets its own line,
         # whose first step factors its own.
         for t, at, along in ((0.75, p, line), (0.5, q, Line(q, v)), (2.0, p, line)):
-            assert _trial(at, t * along) == _trial(at, t * v)
+            assert _trial(at, along, t) == _trial(at, t * v)
         assert len(calls) == 7
 
 
@@ -298,6 +308,20 @@ class TestDistance:
         a = SpdPoint(np.array([[1.0]]))
         b = SpdPoint(np.array([[np.e**2]]))
         assert distance(a, b) == pytest.approx(2.0, rel=1e-14)
+
+    def test_scalar_route_where_the_ratio_leaves_the_normal_range(self):
+        # lambda / c overflows for c = 1e-320, underflows to zero for
+        # c = 1e300 and to subnormals for c = 1e10; each reads
+        # log lambda - log c.
+        for low, high, c in ((1.0, 10.0, 1e-320), (1e-300, 1e-10, 1e300), (1e-305, 1e-300, 1e10)):
+            p = random_spd(4, low, high, seed=3)
+            scalar = SpdPoint(np.diag(np.full(4, c)))
+            want = np.sqrt(np.sum((np.log(p.spectrum) - np.log(c)) ** 2))
+            for a, b in ((p, scalar), (scalar, p)):
+                assert distance(a, b) == pytest.approx(want, rel=1e-14)
+        # Two scalar points: log c_b - log c_a.
+        tiny, huge = SpdPoint(np.array([[1e-320]])), SpdPoint(np.array([[1e300]]))
+        assert distance(tiny, huge) == pytest.approx(np.log(1e300) - np.log(1e-320), rel=1e-14)
 
     def test_symmetry(self):
         for seed in range(5):
@@ -474,7 +498,7 @@ class TestSharedTrial:
         p, v, line = self._setup()
         assert not needs_dense(line, np.array([1.0, 0.5]))
         calls = _counting_exp(monkeypatch)
-        step = exp_map(p, 1.0 * line)
+        step = exp_map(p, line, 1.0)
         again = exp_map(p, line)
         assert calls == []
         want = _fresh(p, v)
@@ -485,15 +509,15 @@ class TestSharedTrial:
         p, v, line = self._setup()
         assert not needs_dense(line, np.array([1.0, 0.5]))
         twin = SpdPoint.from_frame(p.spectrum, p.frame[1])
-        others = [  # (point, step, the plain tangent it takes)
-            (twin, 1.0 * Line(twin, v), v),  # another point, though equal, on a line of its own
-            (p, 0.5 * line, 0.5 * v),  # another step
-            (p, SpectralTangent(v.coeffs), v),  # an unrelated tangent, the same coefficients
-            (p, Line(p, v), v),  # another line along the same tangent
+        others = [  # (point, line or tangent, step, the plain tangent it takes)
+            (twin, Line(twin, v), 1.0, v),  # another point, though equal, on a line of its own
+            (p, line, 0.5, 0.5 * v),  # another step
+            (p, SpectralTangent(v.coeffs), 1.0, v),  # an unrelated tangent, the same coefficients
+            (p, Line(p, v), 1.0, v),  # another line along the same tangent
         ]
         calls = _counting_exp(monkeypatch)
-        for point, step, plain in others:
-            got = exp_map(point, step)
+        for point, along, t, plain in others:
+            got = exp_map(point, along, t)
             assert np.array_equal(got.spectrum, _fresh(point, plain).spectrum)
         assert len(calls) == 2 * len(others)  # each formed its own, as _fresh did
 
@@ -507,9 +531,9 @@ class TestSharedTrial:
         assert not needs_dense(line, np.array([1.0, 0.5, 0.25]))
         calls = _counting_exp(monkeypatch)
         with pytest.raises(StepOverflow):
-            exp_map(p, 1.0 * line)
+            exp_map(p, line, 1.0)
         assert len(calls) == 1
-        half = exp_map(p, 0.5 * line)
+        half = exp_map(p, line, 0.5)
         assert len(calls) == 1
         assert np.array_equal(half.spectrum, _fresh(p, 0.5 * v).spectrum)
 
@@ -541,13 +565,13 @@ def test_line_steps_at_another_point_raise():
     # reading the trial or the factorization the line keeps.
     p, twin = (random_spd(3, 1.0, 3.0, seed=9).to_spectral() for _ in range(2))
     dense = Line(p.to_dense(), random_symmetric(np.random.default_rng(9), 3))
-    exp_map(dense.point, 0.5 * dense)
+    exp_map(dense.point, dense, 0.5)
     spectral = Line(p, SpectralTangent(np.ones(3)))
     assert not needs_dense(spectral, np.ones(1))
     for line, at in ((dense, twin.to_dense()), (spectral, twin)):
-        for step in (line, 0.5 * line):
+        for t in (1.0, 0.5):
             with pytest.raises(DimMismatch):
-                exp_map(at, step)
+                exp_map(at, line, t)
 
 
 _TRIAL_STEPS = np.ldexp(1.0, -np.arange(61))

@@ -115,10 +115,9 @@ PINNED = [
 ]
 
 
-@pytest.fixture(scope="module")
-def table():
-    # The dense route's rounding near the floor depends on the BLAS thread
-    # count, so the table runs in a one-thread interpreter.
+def _on_one_thread(script):
+    """The JSON that ``script`` prints, run in a one-thread interpreter: the
+    dense route's rounding near the floor depends on the BLAS thread count."""
     src = str(Path(rdn.__file__).resolve().parents[1])
     env = dict(
         os.environ,
@@ -127,9 +126,39 @@ def table():
         MKL_NUM_THREADS="1",
         PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
     )
-    proc = subprocess.run([sys.executable, "-c", _TABLE], env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def table():
+    return _on_one_thread(_TABLE)
+
+
+_HAND_OVER_CELLS = """
+import json
+from rdn.bench import ExperimentSpec, run_experiment
+from rdn.objectives import Family
+from rdn.solver import Method
+
+rows = []
+for ratio, seed in ((0.002, 48483), (0.01, 48597), (0.01, 48633)):
+    r = run_experiment(ExperimentSpec(Family.F2, ratio, 100, Method.DAMPED, seed, init_eig_range=(1.0, 10.0)))
+    rows.append([ratio, seed, r.status, r.nit, r.he, r.ge])
+print(json.dumps(rows))
+"""
+
+
+def test_hand_over_cells_whose_counters_react_to_rounding():
+    # f2 n = 100 damped cells from 1,10 starts that hand over near the
+    # rounding floor: forming a dense trial with one product in place of
+    # three, (P^{1/2} Q) diag(e^{t w}) (P^{1/2} Q)^T, gives GE 21, 19 and 19.
+    assert _on_one_thread(_HAND_OVER_CELLS) == [
+        [0.002, 48483, "converged", 7, 7, 20],
+        [0.01, 48597, "converged", 7, 7, 18],
+        [0.01, 48633, "converged", 7, 7, 18],
+    ]
 
 
 def _cells(table):
