@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -391,9 +391,9 @@ class Line:
 
 def _frame_values(p: SpdPoint, v: SpectralTangent) -> np.ndarray:
     """The eigenvalues of ``p`` in frame order, once ``v`` is checked to be in its frame."""
-    if not p.spectral:
+    values = p._values
+    if values is None:
         raise DimMismatch("spectral tangent at a point without a spectral frame")
-    values = p.spectrum
     if v.coeffs.shape != values.shape:
         raise DimMismatch(f"tangent has {v.coeffs.shape[0]} coefficients, point dimension {p.dim}")
     return values
@@ -444,7 +444,9 @@ def norm(p: SpdPoint, v: np.ndarray) -> float:
 
     Finite wherever the whitened V is, up to the float range itself."""
     if isinstance(v, SpectralTangent):
-        return _frobenius(v.coeffs / _frame_values(p, v))
+        w = v.coeffs / _frame_values(p, v)
+        r = math.sqrt(w.dot(w))
+        return r if r != math.inf else _frobenius(w)
     v = _tangent_at(p, v)
     s = p.inv_sqrt()
     return _frobenius(s @ v @ s)
@@ -487,15 +489,17 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
         raise DimMismatch("a line steps only from its own point")
     v = line.direction
     if isinstance(v, SpectralTangent):
-        if line._trial is not None and line._trial[0] == t:
-            point = SpdPoint._from_spectrum(line._trial[1], None, p._basis, checked=True)
+        kept = line._trial
+        if kept is not None and kept[0] == t:
+            point = SpdPoint._from_spectrum(kept[1], None, p._basis, checked=True)
             point._in_bounds = True
             return point
-        values = _spectral_trial(p.spectrum, v.coeffs, t)
+        values = _spectral_trial(p._values, v.coeffs, t)
         if not np.isfinite(values).all():
             raise StepOverflow("exponential-map result has non-finite entries")
         # A finite spread of at least the floor also makes every value positive.
-        if not values.min() / values.max() >= _ROUNDING_FLOOR:
+        low, high = _extremes(values)
+        if not low / high >= _ROUNDING_FLOOR:
             raise StepOverflow("exponential-map result rounded outside the cone")
         return SpdPoint._from_spectrum(values, None, p._basis, checked=True)
     step = _tangent_at(p, v if t == 1.0 else t * v)
@@ -527,7 +531,7 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
 
 
 @quiet
-def needs_dense(line: Line, steps: np.ndarray) -> bool:
+def needs_dense(line: Line, steps: Iterable[float]) -> bool:
     """Whether an iteration along ``line`` belongs on the dense route.
 
     True when the line's direction is a SpectralTangent and its point, the
@@ -551,12 +555,12 @@ def needs_dense(line: Line, steps: np.ndarray) -> bool:
     p, v = line.point, line.direction
     if not isinstance(v, SpectralTangent):
         return False
-    values, c = p.spectrum, v.coeffs
+    values, c = p._values, v.coeffs
     if not p._in_bounds and _outside_handover_range(values):
         return True
     # A sum of squares within (scale / 2)^2 bounds every |c_i| below the
     # scale, rounding and all; only a larger or non-finite one needs the scan.
-    if not c @ c <= _COEFF_SQUARES_INSIDE and np.abs(c).max() > _HANDOVER_SCALE:
+    if not c.dot(c) <= _COEFF_SQUARES_INSIDE and np.abs(c).max() > _HANDOVER_SCALE:
         return True
     for t in steps:
         trial = _spectral_trial(values, c, t)
@@ -571,8 +575,14 @@ def needs_dense(line: Line, steps: np.ndarray) -> bool:
     return False
 
 
+def _extremes(values: np.ndarray) -> tuple[np.float64, np.float64]:
+    """min and max of a 1-D array as numpy scalars, nan if an entry is nan; read
+    at argmin and argmax, which cost less than min() and max() on short arrays."""
+    return values[values.argmin()], values[values.argmax()]
+
+
 def _outside_handover_range(values: np.ndarray) -> bool:
-    low, high = values.min(), values.max()
+    low, high = _extremes(values)
     return not (low / high >= _HANDOVER_SPREAD and low >= 1.0 / _HANDOVER_SCALE and high <= _HANDOVER_SCALE)
 
 

@@ -155,19 +155,13 @@ def newton_solve(obj: Objective, p: SpdPoint) -> np.ndarray:
     return lyapunov_solve(p.matrix, _newton_rhs(obj, p), eigen=p.eigen)
 
 
-def _residual_spectrum(obj: Objective, p: SpdPoint) -> np.ndarray:
-    """Eigenvalues of P^{-1/2} grad f(P) P^{-1/2}: a - b/lambda or a - b lambda."""
-    lam = p.spectrum
-    if obj.family is Family.F1:
-        return obj.a - obj.b / lam
-    return obj.a - obj.b * lam
-
-
 @quiet
 def merit_value(obj: Objective, p: SpdPoint) -> float:
-    """phi(P) = ||grad f(P)||_P^2 / 2, evaluated through the spectrum."""
-    r = _residual_spectrum(obj, p)
-    return 0.5 * float(np.sum(r * r))
+    """phi(P) = ||grad f(P)||_P^2 / 2, evaluated through the spectrum: half the
+    sum of squares of the eigenvalues r of P^{-1/2} grad f(P) P^{-1/2}."""
+    lam = p.spectrum
+    r = obj.a - obj.b / lam if obj.family is Family.F1 else obj.a - obj.b * lam
+    return 0.5 * float(np.add.reduce(r * r))
 
 
 @quiet
@@ -196,7 +190,7 @@ def minimizer(obj: Objective, dim: int) -> SpdPoint:
 def _spectral(coeffs: np.ndarray) -> SpectralTangent:
     # A finite sum of squares has finite terms; only an infinite or nan one
     # needs the scan, since finite coefficients may overflow it.
-    if not math.isfinite(coeffs @ coeffs) and not np.isfinite(coeffs).all():
+    if not math.isfinite(coeffs.dot(coeffs)) and not np.isfinite(coeffs).all():
         raise SpectrumDomainError("spectral coefficients are not finite")
     return SpectralTangent(coeffs)
 

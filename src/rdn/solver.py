@@ -114,6 +114,11 @@ class Problem(Protocol):
     def fallback_direction(self, p: SpdPoint) -> np.ndarray: ...
 
 
+def _check_max_backtracks(max_backtracks: int) -> None:
+    if not 0 <= max_backtracks <= 1074:
+        raise ValueError(f"max_backtracks must lie in [0, 1074], where 2^-j > 0, got {max_backtracks}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     sigma: float = 1e-4
@@ -129,8 +134,7 @@ class SolverConfig:
             raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.max_backtracks < 0:
-            raise ValueError(f"max_backtracks must be >= 0, got {self.max_backtracks}")
+        _check_max_backtracks(self.max_backtracks)
 
 
 @dataclass(frozen=True)
@@ -223,10 +227,12 @@ def armijo_stepsize(
     iteration's Line from ``p``, or a bare direction put on a Line of its
     own; each trial is one exp_map(p, line, t), on what the line holds.
     """
+    _check_max_backtracks(max_backtracks)
     if merit is None:
         merit = problem.merit_value(p)
     line = v if isinstance(v, Line) else Line(p, v)
-    if direction_kind is not DirectionKind.NEWTON:
+    newton = direction_kind is DirectionKind.NEWTON
+    if not newton:
         slope = -inner(p, line.direction, line.direction)
     evaluations = 0
     for j in range(max_backtracks + 1):
@@ -237,27 +243,15 @@ def armijo_stepsize(
         except (StepOverflow, InvalidPoint, SpectrumDomainError):
             continue
         evaluations += 1
-        if direction_kind is DirectionKind.NEWTON:
+        if newton:
             threshold = (1.0 - 2.0 * sigma * t) * merit
         else:
             threshold = merit + sigma * t * slope
         if trial <= threshold:
-            return ArmijoResult(
-                alpha=t,
-                backtracks=j,
-                evaluations=evaluations,
-                accepted=True,
-                point=candidate,
-                merit=trial,
-            )
-    return ArmijoResult(
-        alpha=0.0,
-        backtracks=max_backtracks,
-        evaluations=evaluations,
-        accepted=False,
-        point=None,
-        merit=merit,
-    )
+            # Positional, in field order: alpha, backtracks, evaluations,
+            # accepted, point, merit.
+            return ArmijoResult(t, j, evaluations, True, candidate, trial)
+    return ArmijoResult(0.0, max_backtracks, evaluations, False, None, merit)
 
 
 def _spectral_form(p: SpdPoint) -> SpdPoint:
@@ -298,10 +292,8 @@ def solve(
     final_merit = math.nan
     # Step sizes a line search may try, largest first; the hand-over check
     # reads the first whose trial is finite.
-    if config.method is Method.DAMPED:
-        trial_steps = np.ldexp(1.0, -np.arange(config.max_backtracks + 1))
-    else:
-        trial_steps = np.ones(1)
+    full = config.method is Method.FULL
+    trial_steps = (1.0,) if full else tuple(2.0**-j for j in range(config.max_backtracks + 1))
     if on_iterate is not None:
         on_iterate(0, p0)
     while True:
@@ -327,7 +319,7 @@ def solve(
                 p = p.to_dense()
                 handed_over = True
                 continue
-            if config.method is Method.FULL:
+            if full:
                 nxt = exp_map(p, line)
                 alpha, backtracks, trial_evals = 1.0, 0, 0
             else:
@@ -346,16 +338,7 @@ def solve(
             status = Status.STEP_OVERFLOW
             break
         ge += 1 + trial_evals
-        records.append(
-            IterationRecord(
-                k=k,
-                grad_norm=grad_norm,
-                merit=merit,
-                alpha=alpha,
-                direction_kind=kind,
-                backtracks=backtracks,
-            )
-        )
+        records.append(IterationRecord(k, grad_norm, merit, alpha, kind, backtracks))
         k += 1
         p = nxt
         if on_iterate is not None:

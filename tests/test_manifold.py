@@ -673,6 +673,54 @@ def test_certificates_decide_as_the_scans_they_replace(entries):
     assert spectral_finite == finite
 
 
+_BOUND_NEIGHBOURS = [x for b in (1e-100, 0.5e100, 1e100) for x in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))]
+_NEAR_BOUNDS = st.one_of(
+    st.sampled_from([np.nan, np.inf, 0.0, 5e-324, 1e-310, 2.0**-1022, 1e155, 1e200, 1.7e308, *_BOUND_NEIGHBOURS]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _same_bits(a, b):
+    return np.float64(a).view(np.int64) == np.float64(b).view(np.int64) or (np.isnan(a) and np.isnan(b))
+
+
+def _same_value(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+@given(
+    st.lists(st.tuples(_NEAR_BOUNDS, st.booleans()), min_size=1, max_size=12),
+    st.integers(1, 1024),
+    st.sampled_from(list(objectives.Family)),
+)
+@settings(deadline=None, max_examples=300)
+def test_fast_forms_keep_the_bits_of_the_forms_they_replace(entries, size, family):
+    # A spectral iteration reads sums of squares with ndarray.dot, sums with
+    # ufunc.reduce, extremes at argmin/argmax, and the norm's plain sum of
+    # squares without _frobenius.  Each gives the form it replaced: the same
+    # bits where it feeds a value, the same decision where it feeds a test.
+    x = np.resize(np.array([-e if negate else e for e, negate in entries]), size)
+    positive = np.abs(x[np.isfinite(x) & (x != 0.0)])
+    with np.errstate(all="ignore"):
+        assert _same_bits(x.dot(x), x @ x)
+        low, high = manifold._extremes(x)
+        assert _same_value(low, x.min()) and _same_value(high, x.max())
+        scanned = not (x.min() / x.max() >= 1e-13 and x.min() >= 1e-100 and x.max() <= 1e100)
+        assert manifold._outside_handover_range(x) == scanned
+        # exp_map's spread test, on the non-negative values a trial can hold.
+        mags = np.abs(x)
+        low, high = manifold._extremes(mags)
+        assert (low / high >= 1e-17) == (mags.min() / mags.max() >= 1e-17)
+        if positive.size:
+            values = np.resize(positive, size)
+            p = SpdPoint.from_frame(values, np.eye(size))
+            assert _same_bits(norm(p, SpectralTangent(x)), manifold._frobenius(x / values))
+            for a, b in ((1.0, values[0]), (values[-1], 1.0)):
+                obj = objectives.Objective(family, a, b)
+                r = a - b / values if family is objectives.Family.F1 else a - b * values
+                assert _same_bits(objectives.merit_value(obj, p), 0.5 * float(np.sum(r * r)))
+
+
 def _eager_random_spd(dim, low, high, seed):
     """random_spd's recipe with the basis drawn at once: the spectrum, then
     the sign-fixed QR frame of a Gaussian matrix from the same generator."""

@@ -124,6 +124,22 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(max_backtracks=-1)
 
+    def test_backtracks_stop_at_the_smallest_positive_step(self):
+        # 2^-1074 is the smallest positive double and 2^-1075 rounds to zero,
+        # where the trial is P itself and passes whenever the merit did not rise.
+        assert 2.0**-1074 > 0.0 == 2.0**-1075
+        assert SolverConfig(max_backtracks=1074).max_backtracks == 1074
+        with pytest.raises(ValueError, match="1074"):
+            SolverConfig(max_backtracks=1075)
+        problem = GradientField(Objective(Family.F1, 1.0, 1.0))
+        p = SpdPoint.from_frame(np.array([2.0]), np.eye(1))
+        v = SpectralTangent(np.array([1e308]))
+        # At 1100 backtracks this search used to accept the null step j = 1075.
+        with pytest.raises(ValueError, match="1074"):
+            armijo_stepsize(problem, p, v, 1e-4, max_backtracks=1100)
+        res = armijo_stepsize(problem, p, v, 1e-4, max_backtracks=1074)
+        assert not res.accepted and res.backtracks == 1074 and res.point is None
+
 
 class TestDirection:
     def test_newton_direction_scalar(self):
@@ -337,6 +353,26 @@ class TestSolve:
             assert rec.merit >= 0.0
             assert rec.alpha == 2.0 ** -round(math.log2(1.0 / rec.alpha))
             assert 0.0 < rec.alpha <= 1.0
+
+    @pytest.mark.parametrize("method", [Method.DAMPED, Method.FULL])
+    def test_records_keep_each_field_in_its_place(self, method):
+        # Records are built positionally; a swapped field breaks one of these.
+        checked = 0
+        for spec in table1_grid(3, max_dim=100):
+            if spec.method is not method:
+                continue
+            p0 = random_spd(spec.dim, *spec.init_eig_range, seed=spec.seed)
+            _, trace = solve(GradientField(spec.objective()), p0, spec.config())
+            for i, rec in enumerate(trace.records):
+                assert rec.k == i
+                assert rec.merit == 0.5 * rec.grad_norm * rec.grad_norm
+                assert isinstance(rec.direction_kind, DirectionKind)
+                if method is Method.DAMPED:
+                    assert rec.alpha == 2.0**-rec.backtracks and rec.alpha > 0.0
+                else:
+                    assert rec.alpha == 1.0 and rec.backtracks == 0
+                checked += 1
+        assert checked > 0
 
     def test_on_iterate_sees_start_and_every_step(self):
         obj = Objective(Family.F1, 1.0, 0.1)
