@@ -149,11 +149,12 @@ def _worker_count() -> int:
 
 
 def run_grid(specs, max_workers: int | None = None) -> list[ExperimentResult]:
-    """Run every spec, in parallel across threads, preserving input order."""
+    """Run every spec, in parallel across at most one thread per spec,
+    preserving input order."""
     specs = list(specs)
     if not specs:
         return []
-    workers = max_workers if max_workers is not None else _worker_count()
+    workers = min(max_workers if max_workers is not None else _worker_count(), len(specs))
     if workers == 1:
         return [run_experiment(s) for s in specs]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -114,7 +114,7 @@ def mat_func(
 
 @quiet
 def lyapunov_solve(
-    p: np.ndarray,
+    p: np.ndarray | None,
     rhs: np.ndarray,
     *,
     eigen: EigenPair | None = None,
@@ -125,7 +125,8 @@ def lyapunov_solve(
     the transformed unknown is (Q^T RHS Q)_ij / (lambda_i + lambda_j).  The
     solution is unique whenever no sum of two eigenvalues vanishes, which is
     automatic for positive definite P; the guard below protects generic
-    callers that pass an indefinite P.
+    callers that pass an indefinite P.  A precomputed ``eigen`` of P may be
+    supplied; ``p`` is then not read and may be None.
     """
     pair = sym_eigen(p) if eigen is None else eigen
     rhs = symmetrize(rhs)

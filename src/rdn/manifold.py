@@ -12,7 +12,8 @@ is globally defined: every symmetric step lands back inside the cone, so no
 projection is ever needed.  Geodesic distance is ||log(A^{-1/2} B A^{-1/2})||_F.
 
 Points are immutable and carry a lazily computed eigendecomposition, from
-which P^{1/2}, P^{-1/2} and P^{-1} are formed once, on first use, and kept.
+which each power P^t (P^{1/2}, P^{-1/2}, P^{-1}, ...) is formed once, on
+first use, and kept read-only; no matrix is formed that no formula reads.
 A damped iteration tries exp_P(2^-j V), j = 0, 1, ..., along one geodesic,
 a Line, whose step t is ``exp_map(p, line, t)``.  Along a dense V,
 exp_P(t V) = P^{1/2} Q diag(e^{t w}) Q^T P^{1/2} with (w, Q) the eigenpair
@@ -102,6 +103,12 @@ _COEFF_SQUARES_INSIDE = (0.5 * _HANDOVER_SCALE) ** 2
 # A spectral step below this spread, under the unit roundoff 2^-53, has no
 # positive definite matrix form; exp_map rejects it as unrepresentable.
 _ROUNDING_FLOOR = 1e-17
+# from_frame accepts a basis Q whose every entry of Q^T Q - I is within
+# _FRAME_TOLERANCE n eps of zero.  Sign-fixed QR bases, their products with
+# other QR bases and eigh's bases measured at most 1.7 n eps for n = 2-1000
+# (the larger figures at n <= 5, below 0.2 n eps from n = 100).
+_FRAME_TOLERANCE = 16.0
+_EPS = float(np.finfo(float).eps)
 
 
 class _LazyPair(EigenPair):
@@ -136,15 +143,18 @@ class SpdPoint:
     ``from_frame`` builds a spectral point from its eigenvalues and basis
     instead, forming the matrix only on first use; ``frame`` is set only on
     spectral points (``from_frame``, ``to_spectral``, spectral steps), and
-    ``spectral``/``spectrum`` read them without drawing a lazy basis.  The
-    matrix is frozen once formed; the caches are filled idempotently on first
-    use, so points are safe to share between threads.
+    ``spectral``/``spectrum`` read them without drawing a lazy basis.  Every
+    power P^t (``power``, ``sqrt``, ``inv_sqrt``, ``inv``) is formed from the
+    eigenpair alone on first use and kept, read-only, so no matrix is formed
+    that no formula reads.  The matrix is frozen once formed; the caches are
+    filled idempotently on first use, so points are safe to share between
+    threads.
     """
 
     # _values/_basis: the frame of a spectral point, its basis held as the
     # EigenPair it came from (possibly a random start's, not drawn yet).
-    # _powers: P^{1/2}, P^{-1/2} and P^{-1} by exponent, once formed; the
-    # dense and the spectral form of one point share the dict.
+    # _powers: P^t by exponent t, once formed; the dense and the spectral
+    # form of one point share the dict.
     # _in_bounds: True only on a spectral step whose eigenvalues are the
     # very array needs_dense found inside the hand-over bounds (Line._trial).
     __slots__ = ("_matrix", "_eigen", "_values", "_basis", "_powers", "_in_bounds")
@@ -159,6 +169,8 @@ class SpdPoint:
             # halves does not, and is as exactly symmetric.
             m = 0.5 * a + 0.5 * a.T
         if eigen is not None:
+            if eigen.values.shape != m.shape[:1]:
+                raise DimMismatch(f"eigenvalues of shape {eigen.values.shape} for a matrix of dimension {m.shape[0]}")
             if float(eigen.values[0]) <= 0.0:
                 raise InvalidPoint("spectrum is not strictly positive")
         else:
@@ -167,39 +179,44 @@ class SpdPoint:
             except np.linalg.LinAlgError as err:
                 raise InvalidPoint("matrix is not numerically positive definite") from err
         m.flags.writeable = False
-        self._matrix = m
+        self._set(eigen, None, None, m)
+
+    def _set(self, eigen, values, basis, matrix=None, powers=None, in_bounds=False) -> "SpdPoint":
+        """Set the six slots; every point is made here."""
+        self._matrix = matrix
         self._eigen = eigen
-        self._values = self._basis = None
-        self._powers = {}
-        self._in_bounds = False
+        self._values = values
+        self._basis = basis
+        self._powers = {} if powers is None else powers
+        self._in_bounds = in_bounds
+        return self
 
     @classmethod
     def _from_spectrum(
-        cls,
-        values: np.ndarray,
-        eigen: EigenPair | None,
-        basis: EigenPair | None,
-        *,
-        checked: bool = False,
+        cls, values: np.ndarray, eigen: EigenPair | None, basis: EigenPair | None, *, checked: bool = False,
+        matrix: np.ndarray | None = None, powers: dict | None = None, in_bounds: bool = False,
     ) -> "SpdPoint":
-        """A point without its matrix: spectral on the vectors of ``basis``
-        when given, else dense with the (possibly lazy) factorization ``eigen``.
+        """A point spectral on the vectors of ``basis`` when given, else dense with
+        the (possibly lazy) factorization ``eigen``; its matrix unformed unless given.
         ``checked`` vouches that ``values`` are finite and strictly positive."""
         if not (checked or (np.isfinite(values).all() and values.min() > 0.0)):
             raise InvalidPoint("spectrum is not finite and strictly positive")
-        point = object.__new__(cls)
-        point._matrix = None
-        point._eigen = eigen
-        point._values = None if basis is None else values
-        point._basis = basis
-        point._powers = {}
-        point._in_bounds = False
-        return point
+        return object.__new__(cls)._set(eigen, None if basis is None else values, basis, matrix, powers, in_bounds)
 
     @classmethod
     def from_frame(cls, values: np.ndarray, basis: np.ndarray) -> "SpdPoint":
-        """Spectral point basis diag(values) basis^T, ``basis`` orthogonal and
-        ``values`` in the order of its columns, finite and strictly positive."""
+        """Spectral point basis diag(values) basis^T, ``values`` finite and
+        strictly positive in the order of the columns of ``basis``, a finite
+        n x n matrix with every entry of basis^T basis - I within
+        _FRAME_TOLERANCE n eps of zero (else DimMismatch or InvalidPoint)."""
+        values, basis = np.asarray(values, dtype=float), np.asarray(basis, dtype=float)
+        n = values.shape[0] if values.ndim == 1 else 0
+        if n < 1 or basis.shape != (n, n):
+            raise DimMismatch(f"a frame needs n >= 1 values and an n x n basis, got {values.shape}, {basis.shape}")
+        if not np.isfinite(basis).all():
+            raise InvalidPoint("basis has non-finite entries")
+        if np.abs(basis.T @ basis - np.eye(n)).max() > _FRAME_TOLERANCE * n * _EPS:
+            raise InvalidPoint("basis is not orthonormal")
         return cls._from_spectrum(values, None, EigenPair(values=values, vectors=basis))
 
     @property
@@ -268,34 +285,30 @@ class SpdPoint:
 
     def _on_eigen(self, spectral: bool) -> "SpdPoint":
         """The point rebuilt on ``eigen``, spectral with it as its frame or
-        dense, sharing the matrix (which may still be unformed)."""
+        dense, sharing the matrix (which may still be unformed) and the powers."""
         pair = self.eigen
-        point = SpdPoint._from_spectrum(pair.values, pair, pair if spectral else None)
-        point._matrix = self._matrix
-        point._powers = self._powers
-        return point
+        return SpdPoint._from_spectrum(
+            pair.values, pair, pair if spectral else None, matrix=self._matrix, powers=self._powers
+        )
 
     def power(self, t: float) -> np.ndarray:
-        """P^t through the cached spectrum (t = 0.5, -0.5, -1, 2, ...)."""
-        return mat_func(self.matrix, lambda lam: lam**t, eigen=self.eigen)
-
-    def _kept_power(self, t: float) -> np.ndarray:
-        """``power(t)``, formed on first use and kept, read-only."""
+        """P^t (t = 0.5, -0.5, -1, 2, ...), formed from the eigenpair alone on
+        first use and kept, read-only."""
         m = self._powers.get(t)
         if m is None:
-            m = self.power(t)
+            m = mat_func(None, lambda lam: lam**t, eigen=self.eigen)
             m.flags.writeable = False
             self._powers[t] = m
         return m
 
     def sqrt(self) -> np.ndarray:
-        return self._kept_power(0.5)
+        return self.power(0.5)
 
     def inv_sqrt(self) -> np.ndarray:
-        return self._kept_power(-0.5)
+        return self.power(-0.5)
 
     def inv(self) -> np.ndarray:
-        return self._kept_power(-1.0)
+        return self.power(-1.0)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpdPoint(dim={self.dim})"
@@ -491,9 +504,7 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
     if isinstance(v, SpectralTangent):
         kept = line._trial
         if kept is not None and kept[0] == t:
-            point = SpdPoint._from_spectrum(kept[1], None, p._basis, checked=True)
-            point._in_bounds = True
-            return point
+            return SpdPoint._from_spectrum(kept[1], None, p._basis, checked=True, in_bounds=True)
         values = _spectral_trial(p._values, v.coeffs, t)
         if not np.isfinite(values).all():
             raise StepOverflow("exponential-map result has non-finite entries")

@@ -142,8 +142,8 @@ def _newton_rhs(obj: Objective, p: SpdPoint) -> np.ndarray:
     """Right-hand side of the reduced Newton system, polynomial in P."""
     ratio = obj.a / obj.b
     if obj.family is Family.F1:
-        return mat_func(p.matrix, lambda lam: 2.0 * (lam**2 - ratio * lam**3), eigen=p.eigen)
-    return mat_func(p.matrix, lambda lam: 2.0 * (ratio * lam - lam**2), eigen=p.eigen)
+        return mat_func(None, lambda lam: 2.0 * (lam**2 - ratio * lam**3), eigen=p.eigen)
+    return mat_func(None, lambda lam: 2.0 * (ratio * lam - lam**2), eigen=p.eigen)
 
 
 def newton_solve(obj: Objective, p: SpdPoint) -> np.ndarray:
@@ -152,7 +152,7 @@ def newton_solve(obj: Objective, p: SpdPoint) -> np.ndarray:
     Solved as the Lyapunov equation P V + V P = RHS in the eigenbasis of P,
     which always has a unique solution on the cone.
     """
-    return lyapunov_solve(p.matrix, _newton_rhs(obj, p), eigen=p.eigen)
+    return lyapunov_solve(None, _newton_rhs(obj, p), eigen=p.eigen)
 
 
 @quiet

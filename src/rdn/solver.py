@@ -53,7 +53,6 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .errors import (
-    InvalidMatrix,
     InvalidPoint,
     SingularOperator,
     SpectrumDomainError,
@@ -61,7 +60,7 @@ from .errors import (
     StepOverflow,
 )
 from .linalg import quiet
-from .manifold import Line, SpdPoint, exp_map, inner, needs_dense, norm
+from .manifold import Line, SpdPoint, SpectralTangent, exp_map, inner, needs_dense, norm
 
 __all__ = [
     "Method",
@@ -105,9 +104,9 @@ class Problem(Protocol):
     (``p.spectral``) a problem may return SpectralTangents.
     """
 
-    def field_value(self, p: SpdPoint) -> np.ndarray: ...
+    def field_value(self, p: SpdPoint) -> np.ndarray | SpectralTangent: ...
 
-    def newton_solve(self, p: SpdPoint) -> np.ndarray: ...
+    def newton_solve(self, p: SpdPoint) -> np.ndarray | SpectralTangent: ...
 
     def merit_value(self, p: SpdPoint) -> float: ...
 
@@ -130,8 +129,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.sigma < 0.5):
             raise ValueError(f"sigma must lie strictly inside (0, 1/2), got {self.sigma}")
-        if not self.grad_tol > 0.0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         _check_max_backtracks(self.max_backtracks)
@@ -157,10 +156,10 @@ class SolveTrace:
     merits decrease strictly, and final_merit lies below the last one,
     wherever each recorded 0.5 ||X||^2 agrees with the merit the Armijo test
     accepted.  They need not where the dense route forms the field from
-    subnormal products, as for f2 at ratios above about 1e155 (ROADMAP, "One
-    merit on both sides of the Armijo test"): ``f2 --ratio 1e160 --dim 3
-    --method damped --seed 0`` records 139 of its 500 merits at or above the
-    one before.
+    subnormal products, as for f2 at ratios above about 1e155, where the
+    recorded 0.5 ||X||^2 differs from ``merit_value`` of the same iterate by
+    a factor of 2-9: ``f2 --ratio 1e160 --dim 3 --method damped --seed 0``
+    records 139 of its 500 merits at or above the one before.
     """
 
     records: tuple[IterationRecord, ...]
@@ -205,6 +204,11 @@ class ArmijoResult:
     merit: float
 
 
+# What makes a trial or an iterate unrepresentable: its exponential
+# overflows, it rounds outside the cone, or its field or merit is not finite.
+_BREAKDOWN = (InvalidPoint, StepOverflow, SpectrumDomainError)
+
+
 def armijo_stepsize(
     problem: Problem,
     p: SpdPoint,
@@ -240,7 +244,7 @@ def armijo_stepsize(
         try:
             candidate = exp_map(p, line, t)
             trial = problem.merit_value(candidate)
-        except (StepOverflow, InvalidPoint, SpectrumDomainError):
+        except _BREAKDOWN:
             continue
         evaluations += 1
         if newton:
@@ -276,8 +280,10 @@ def solve(
     Never raises on a feasible start: numerical breakdown of an iterate
     (overflowing exponential, iterate rounding outside the cone) terminates
     with status STEP_OVERFLOW, and the other failure modes map to their own
-    statuses.  ``on_iterate`` is called as on_iterate(k, P_k) for the start
-    (k = 0) and after every committed step.
+    statuses.  A field or direction of the wrong shape is the problem's
+    fault, not a breakdown: it raises InvalidMatrix or DimMismatch.
+    ``on_iterate`` is called as on_iterate(k, P_k) for the start (k = 0)
+    and after every committed step.
 
     ``problem``'s methods and ``on_iterate`` run with numpy's floating-point
     warnings off (``linalg.quiet``), as does the rest of the run.
@@ -300,7 +306,7 @@ def solve(
         try:
             x = problem.field_value(p)
             grad_norm = norm(p, x)
-        except (InvalidPoint, StepOverflow, SpectrumDomainError, InvalidMatrix):
+        except _BREAKDOWN:
             status = Status.STEP_OVERFLOW
             break
         merit = 0.5 * grad_norm * grad_norm
@@ -334,7 +340,7 @@ def solve(
         except StationaryOfMerit:
             status = Status.STATIONARY_OF_MERIT
             break
-        except (StepOverflow, InvalidPoint, SpectrumDomainError, InvalidMatrix):
+        except _BREAKDOWN:
             status = Status.STEP_OVERFLOW
             break
         ge += 1 + trial_evals

@@ -99,6 +99,16 @@ class TestRunGrid:
             assert (a.status, a.nit, a.he, a.ge) == (b.status, b.nit, b.he, b.ge)
             assert a.final_grad_norm == b.final_grad_norm
 
+    def test_single_run_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("started a thread pool")
+
+        monkeypatch.delenv("RDN_THREADS", raising=False)
+        monkeypatch.setattr("rdn.bench.os.cpu_count", lambda: 2)
+        monkeypatch.setattr("rdn.bench.ThreadPoolExecutor", no_pool)
+        assert [r.spec for r in run_grid([spec()])] == [spec()]
+        assert [r.spec for r in run_grid([spec()], max_workers=4)] == [spec()]
+
     def test_thread_cap_env(self, monkeypatch):
         monkeypatch.setenv("RDN_THREADS", "2")
         results = run_grid([spec(), spec(dim=3)])

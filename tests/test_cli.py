@@ -101,6 +101,7 @@ def _replace(argv, flag, value):
         ("--max-iters", "0", "max_iters"),
         ("--init-range", "10,1", "init range"),
         ("--init-range", "1,inf", "init range"),
+        ("--tol", "inf", "grad_tol"),
     ],
 )
 def test_invalid_value_is_a_usage_error(flag, value, message, capsys):

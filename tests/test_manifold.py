@@ -59,6 +59,62 @@ class TestSpdPoint:
         with pytest.raises(InvalidPoint):
             SpdPoint(np.eye(2), eigen=EigenPair(np.array([-1.0, 1.0]), np.eye(2)))
 
+    def test_supplied_eigen_must_match_the_matrix(self):
+        # The values alone are checked: reading the vectors would draw a lazy basis.
+        pair = manifold.identity_eigen(np.ones(3))
+        with pytest.raises(DimMismatch):
+            SpdPoint(np.eye(2), eigen=pair)
+        with pytest.raises(DimMismatch):
+            SpdPoint(np.eye(2), eigen=manifold.identity_eigen(np.ones((2, 1))))
+        assert SpdPoint(np.eye(3), eigen=pair).eigen is pair and pair._basis is None
+
+    @pytest.mark.parametrize(
+        "values, basis, error",
+        [
+            ([1.0, 2.0], np.eye(3), DimMismatch),
+            ([1.0, 2.0], np.eye(2)[:, :1], DimMismatch),
+            ([[1.0, 2.0]], np.eye(2), DimMismatch),
+            ([], np.eye(0), DimMismatch),
+            ([1.0, 2.0], np.ones((2, 2)), InvalidPoint),
+            ([1.0, 2.0], np.array([[1.0, 0.0], [0.0, np.nan]]), InvalidPoint),
+            ([1.0, 2.0], 2.0 * np.eye(2), InvalidPoint),
+            ([1.0, 2.0], (1.0 + 1e-12) * np.eye(2), InvalidPoint),
+            ([1.0, 0.0], np.eye(2), InvalidPoint),
+        ],
+        ids=["short", "not-square", "values-2d", "empty", "singular", "nan", "scaled", "near", "zero-value"],
+    )
+    def test_from_frame_rejects_what_is_not_a_frame(self, values, basis, error):
+        with pytest.raises(error):
+            SpdPoint.from_frame(values, basis)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 100])
+    def test_from_frame_accepts_rotated_qr_bases(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            u = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            values = rng.uniform(1.0, 10.0, n)
+            for basis in (q, u @ q, np.linalg.eigh(symmetrize(rng.standard_normal((n, n))))[1]):
+                p = SpdPoint.from_frame(values, basis)
+                assert p.dim == n and p.frame[1] is basis
+
+    def test_powers_are_formed_from_the_eigenpair_and_kept(self, monkeypatch):
+        def formed(pair):
+            raise AssertionError("formed the matrix")
+
+        other = SpdPoint(random_spd(40, 1.0, 10.0, seed=6).matrix)  # distance reads its matrix
+        monkeypatch.setattr(manifold.EigenPair, "reconstruct", formed)
+        p = random_spd(40, 1.0, 10.0, seed=5).to_spectral()
+        s = p.inv_sqrt()
+        assert p.sqrt() is p.power(0.5) and p.inv() is p.power(-1.0) and p.power(-0.5) is s
+        assert p.power(2.0) is p.power(2.0) and not p.power(2.0).flags.writeable
+        assert p.to_dense().power(-0.5) is s and p.to_dense().to_spectral().power(2.0) is p.power(2.0)
+        obj = objectives.Objective(objectives.Family.F2, 1.0, 0.5)
+        objectives.newton_solve(obj, p.to_dense())
+        assert distance(p, other) > 0.0
+        monkeypatch.undo()
+        assert np.allclose(s @ p.matrix @ s, np.eye(40), rtol=0, atol=1e-12)
+
 
 class TestInnerAndNorm:
     def test_identity_base(self):

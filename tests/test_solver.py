@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rdn.bench import table1_grid
-from rdn.errors import SingularOperator, StationaryOfMerit
+from rdn.errors import DimMismatch, InvalidMatrix, SingularOperator, StationaryOfMerit
 from rdn.linalg import symmetrize
 from rdn.manifold import SpdPoint, SpectralTangent, exp_map, inner, norm, random_spd
 from rdn.objectives import Family, GradientField, Objective, minimizer
@@ -119,6 +119,10 @@ class TestSolverConfig:
     def test_other_bounds(self):
         with pytest.raises(ValueError):
             SolverConfig(grad_tol=0.0)
+        with pytest.raises(ValueError, match="grad_tol"):
+            SolverConfig(grad_tol=math.inf)
+        with pytest.raises(ValueError, match="grad_tol"):
+            SolverConfig(grad_tol=math.nan)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
@@ -244,6 +248,16 @@ class TestSolve:
         )
         assert trace.status is Status.STEP_OVERFLOW
         assert point.matrix[0, 0] == 1.0  # last good iterate is returned
+
+    @pytest.mark.parametrize("shape, error", [((2, 3), InvalidMatrix), ((3, 3), DimMismatch)])
+    def test_a_field_of_the_wrong_shape_is_an_error_not_a_status(self, shape, error):
+        # A malformed problem is the caller's fault, not a numerical breakdown.
+        class Malformed(FourMethodField):
+            def field_value(self, p):
+                return np.ones(shape)
+
+        with pytest.raises(error):
+            solve(Malformed(np.eye(2)), random_spd(2, 1.0, 2.0, seed=0))
 
     def test_max_iters_status(self):
         obj = Objective(Family.F1, 1.0, 0.1)
