@@ -15,12 +15,9 @@ Points are immutable and carry a lazily computed eigendecomposition, from
 which each power P^t (P^{1/2}, P^{-1/2}, P^{-1}, ...) is formed once, on
 first use, and kept read-only; no matrix is formed that no formula reads.
 A damped iteration tries exp_P(2^-j V), j = 0, 1, ..., along one geodesic,
-a Line, whose step t is ``exp_map(p, line, t)``.  Along a dense V,
-exp_P(t V) = P^{1/2} Q diag(e^{t w}) Q^T P^{1/2} with (w, Q) the eigenpair
-of the whitened P^{-1/2} V P^{-1/2} (Pennec, Fillard & Ayache, IJCV 66,
-2006).  The line keeps that eigenpair, so a line search pays for one
-factorization of the whitened direction and one per accepted or evaluated
-trial point, not one per backtrack.
+a Line, whose step t is ``exp_map(p, line, t)``.  Each dense step factors
+its own whitened P^{-1/2} t V P^{-1/2} (Pennec, Fillard & Ayache, IJCV 66,
+2006); the dense route runs only where a spectral iteration cannot.
 
 Spectral seam.  A point may instead be held in spectral form, a frame
 (values, basis) with P = basis diag(values) basis^T, and a tangent that
@@ -33,7 +30,7 @@ O(n) functions of the eigenvalues (Higham, Functions of Matrices, ch. 1):
 so every iterate keeps the start's eigenbasis and no factorization is paid
 after the start's.  Plain ndarray tangents take the dense route unchanged.
 Each spectral trial is formed and checked once: ``needs_dense`` forms the
-first finite trial of an iteration and keeps it on the line, and
+first representable trial of an iteration and keeps it on the line, and
 ``exp_map`` returns it for that step of the line instead of forming it
 again.
 Where the dense route's outcome is decided by rounding noise or by where its
@@ -43,7 +40,9 @@ to run that iteration on the dense route from a materialized point
 (``to_dense``); the solver then returns to the spectral route on the new
 iterate's eigendecomposition (``to_spectral``, which keeps the matrix and
 the factorization the dense route cached, and whose ``to_dense`` hands the
-same arrays back).
+same arrays back).  A trial that ``exp_map`` rejects as unrepresentable (not
+finite, or a spread below the 1e-17 rounding floor) hands nothing over: the
+line search backtracks past it on the spectral route.
 
 Lazy bases.  ``random_spd`` draws the spectrum at once but the basis (a QR
 factorization) only when something reads it.  Its factorization is an
@@ -95,8 +94,9 @@ __all__ = [
 # squares of the eigenvalues leave the normal floating-point range (its
 # Newton right-hand side 2 (lambda^2 - (a/b) lambda^3) overflows at lambda
 # near 5.6e102, where the spectral coefficient lambda - (a/b) lambda^2 does
-# not).  An iteration whose iterate, direction or any finite trial point
-# leaves these bounds runs on the dense route instead (``needs_dense``).
+# not).  An iteration whose iterate, direction or any trial point that
+# exp_map can form (finite, spread at least _ROUNDING_FLOOR) leaves these
+# bounds runs on the dense route instead (``needs_dense``).
 _HANDOVER_SPREAD = 1e-13
 _HANDOVER_SCALE = 1e100
 _COEFF_SQUARES_INSIDE = (0.5 * _HANDOVER_SCALE) ** 2
@@ -161,6 +161,8 @@ class SpdPoint:
 
     def __init__(self, matrix: np.ndarray, *, eigen: EigenPair | None = None):
         m = symmetrize(matrix)
+        if m.shape[0] < 1:
+            raise DimMismatch("a point needs dimension n >= 1, got 0")
         if not np.all(np.isfinite(m)):
             a = np.asarray(matrix, dtype=float)
             if not np.isfinite(a).all():
@@ -332,44 +334,17 @@ class SpectralTangent:
     __rmul__ = __mul__
 
 
-# A factorization (w, Q) of the whitened step t0 V serves the step t V as
-# (r w, Q), r = t / t0 = 2^-k <= 1: scaling by a power of two commutes with
-# rounding in the products, in eigh and in exp, bit for bit, while nothing
-# nears the subnormal range.  Every nonzero intermediate of P^{-1/2} (t V)
-# P^{-1/2} is at least t min|V| min(1, min|P^{-1/2}|)^2 2^-266, minima over
-# nonzero entries (a product of floats, and a rounded sum of such products,
-# stays on the grid of its smallest term), so the reuse requires that bound,
-# and every nonzero entry and eigenvalue of the whitened step, to stay above
-# _SCALING_FLOOR, far above the subnormal range.  It also requires the
-# whitened step's largest entry below _EIGH_UNSCALED_MAX: beyond
-# sqrt(eps / tiny) = 2^485 LAPACK's syevd rescales its input by a factor
-# that is not a power of two (below 2^-485 as well, which the floor
-# excludes).
-_SCALING_FLOOR = 2.0**-450
-_EIGH_UNSCALED_MAX = 2.0**480
-
-
-def _smallest_magnitude(a: np.ndarray) -> float:
-    """The smallest nonzero |entry| of ``a``, inf if there is none."""
-    mags = np.abs(a[a != 0.0])
-    return float(mags.min()) if mags.size else math.inf
-
-
 class Line:
     """The geodesic t -> exp_P(t V) that one iteration searches along.
 
-    ``exp_map(point, line, t)`` is bit for bit ``exp_map(point, t * direction)``,
-    from what the steps share: the trial ``needs_dense`` kept, returned for
-    its own step, and the eigenpair of the whitened direction that the first
-    factored step forms and later steps scale where that gives the same bits
-    (see _SCALING_FLOOR).  A step at a point other than the line's raises
+    ``exp_map(point, line, t)`` is bit for bit ``exp_map(point, t * direction)``;
+    the line holds the spectral trial ``needs_dense`` kept, which ``exp_map``
+    returns for its own step.  A step at a point other than the line's raises
     DimMismatch.
     """
 
-    # _trial: (t, eigenvalues) that needs_dense found inside the hand-over
-    # bounds.  _whitened: (t0, eigenpair of the whitened t0 V, floor), floor
-    # bounding its nonzero magnitudes (zero where it may not be reused).
-    __slots__ = ("point", "direction", "_trial", "_whitened")
+    # _trial: (t, eigenvalues) that needs_dense found inside the hand-over bounds.
+    __slots__ = ("point", "direction", "_trial")
 
     def __init__(self, point: SpdPoint, direction: np.ndarray | SpectralTangent):
         if isinstance(direction, SpectralTangent):
@@ -377,29 +352,7 @@ class Line:
         else:
             direction = np.asarray(direction, dtype=float)
         self.point, self.direction = point, direction
-        self._trial = self._whitened = None
-
-    def _whitened_eigen(self, t: float, step: np.ndarray) -> EigenPair:
-        """The eigenpair of P^{-1/2} step P^{-1/2}, step = sym(t V): the kept one
-        scaled where that gives the same bits, else factored, and kept if first."""
-        if self._whitened is not None:
-            base, pair, floor = self._whitened
-            r = t / base
-            if 0.0 < r <= 1.0 and math.frexp(r)[0] == 0.5 and r * floor >= _SCALING_FLOOR:
-                return EigenPair(values=r * pair.values, vectors=pair.vectors)
-        si = self.point.inv_sqrt()
-        whitened = symmetrize(si @ step @ si)
-        pair = sym_eigen(whitened)
-        if self._whitened is None:
-            floor = 0.0
-            if float(np.max(np.abs(whitened))) < _EIGH_UNSCALED_MAX:
-                floor = min(
-                    t * _smallest_magnitude(self.direction) * min(1.0, _smallest_magnitude(si)) ** 2,
-                    _smallest_magnitude(whitened),
-                    _smallest_magnitude(pair.values),
-                )
-            self._whitened = (t, pair, floor)
-        return pair
+        self._trial = None
 
 
 def _frame_values(p: SpdPoint, v: SpectralTangent) -> np.ndarray:
@@ -492,10 +445,9 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
     whose spread lambda_min / lambda_max falls below 1e-17 has no positive
     definite matrix form and also raises StepOverflow.  A tangent V steps as
     Line(P, V).  The step t of a Line is taken from the line's point
-    (DimMismatch elsewhere) on what the line holds, bit for bit as the
-    tangent t V: the trial ``needs_dense`` kept is returned as it is for its
-    own step, and dense steps share one factorization of the whitened
-    direction.
+    (DimMismatch elsewhere), bit for bit as the tangent t V: the trial
+    ``needs_dense`` kept is returned as it is for its own step, and each
+    dense step factors its own whitened step.
     """
     line = v if isinstance(v, Line) else Line(p, v)
     if line.point is not p:
@@ -526,10 +478,9 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
     if whitened_bound <= _EXP_SERIES_CUTOFF:
         out = symmetrize(p.matrix + step + 0.5 * (step @ p.inv() @ step))
     else:
-        s = p.sqrt()
+        s, si = p.sqrt(), p.inv_sqrt()
         try:
-            pair = line._whitened_eigen(t, step)
-            e = mat_func(None, np.exp, eigen=pair)
+            e = mat_func(symmetrize(si @ step @ si), np.exp)
         except (SpectrumDomainError, InvalidMatrix) as err:
             raise StepOverflow("exponential of the whitened step is not finite") from err
         out = symmetrize(s @ e @ s)
@@ -546,22 +497,24 @@ def needs_dense(line: Line, steps: Iterable[float]) -> bool:
     """Whether an iteration along ``line`` belongs on the dense route.
 
     True when the line's direction is a SpectralTangent and its point, the
-    coefficients of its direction or any finite trial exp_P(t V) for t in
-    ``steps`` leave the range in which the spectral route reproduces the
-    dense one: a spread lambda_min / lambda_max below 1e-13, or eigenvalues
-    or coefficients beyond 1e100 in magnitude (eigenvalues also below
-    1e-100).  The solver then continues from ``line.point.to_dense()``.
-    Non-finite trials need no hand-over: both routes reject them as
-    overflowing.
+    coefficients of its direction or any representable trial exp_P(t V) for
+    t in ``steps`` leave the range in which the spectral route reproduces
+    the dense one: a spread lambda_min / lambda_max below 1e-13, or
+    eigenvalues or coefficients beyond 1e100 in magnitude (eigenvalues also
+    below 1e-100).  The solver then continues from ``line.point.to_dense()``.
+    A trial is representable if it is finite with a spread of at least the
+    rounding floor 1e-17; exp_map rejects any other as StepOverflow, so it
+    needs no hand-over and the line search backtracks past it (the paper's
+    step 2 skips a trial that cannot be formed).
 
-    Only the first finite trial, largest step first, is formed: the log of
-    a trial eigenvalue, log lambda + t c / lambda, is affine in t, so the
-    log-spread is concave and log lambda_max convex in t, and each bound,
-    like finiteness, holds on an interval of steps starting at t = 0.  A
-    trial inside the bounds therefore vouches for every smaller step.  It is
-    formed by exp_map's formula and kept on the line, which returns it for
-    ``exp_map(point, line, t)`` without forming it again.  A point that is
-    such a kept trial is not checked again.
+    Only the first representable trial, largest step first, is formed: the
+    log of a trial eigenvalue, log lambda + t c / lambda, is affine in t, so
+    the log-spread is concave and log lambda_max convex in t, and each
+    bound, like representability, holds on an interval of steps starting at
+    t = 0.  A trial inside the bounds therefore vouches for every smaller
+    step.  It is formed by exp_map's formula and kept on the line, which
+    returns it for ``exp_map(point, line, t)`` without forming it again.  A
+    point that is such a kept trial is not checked again.
     """
     p, v = line.point, line.direction
     if not isinstance(v, SpectralTangent):
@@ -577,8 +530,10 @@ def needs_dense(line: Line, steps: Iterable[float]) -> bool:
         trial = _spectral_trial(values, c, t)
         if _outside_handover_range(trial):
             # A trial inside the bounds is finite; one outside them hands
-            # over only if it is finite.
-            if np.isfinite(trial).all():
+            # over only if exp_map would form it: its spread is at least the
+            # rounding floor, which a non-finite trial's never is.
+            low, high = _extremes(trial)
+            if low / high >= _ROUNDING_FLOOR:
                 return True
             continue
         line._trial = (t, trial)

@@ -30,16 +30,16 @@ The solver starts from the spectral form of P_0.  Problems whose field and
 Newton direction come back as SpectralTangents there (the shipped
 GradientField) run the same loop in O(n) per trial; others return matrices
 and continue on the dense route.  An iteration whose iterate, direction or
-possible trial points leave the range where the spectral route reproduces
-the dense one (manifold.needs_dense: spreads near the rounding floor,
-magnitudes near overflow) runs on the dense route instead, from the
-materialized iterate, so statuses and counters match it.  Each iteration
-searches along one manifold.Line, which keeps the trial that check forms and
-a dense direction's whitened factorization for the full step or the line
-search; every trial is one exp_map(p, line, t) call.  Once a dense iteration
-commits its step, the run returns to the spectral route on the new
-iterate's eigendecomposition; the iterates after a hand-over agree with
-a purely dense run only to rounding.
+representable trial points leave the range where the spectral route
+reproduces the dense one (manifold.needs_dense: spreads near the rounding
+floor, magnitudes near overflow) runs on the dense route instead, from the
+materialized iterate, so statuses and counters match it; a trial that cannot
+be formed at all is backtracked past on either route.  Each iteration
+searches along one manifold.Line, which keeps the trial that check forms for
+the full step or the line search; every trial is one exp_map(p, line, t)
+call.  Once a dense iteration commits its step, the run returns to the
+spectral route on the new iterate's eigendecomposition; the iterates after
+a hand-over agree with a purely dense run only to rounding.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ import pytest
 
 import rdn
 from rdn import solver
-from rdn.bench import ExperimentSpec, table1_grid
-from rdn.manifold import exp_map, random_spd
+from rdn.bench import ExperimentSpec, run_experiment, table1_grid
+from rdn.manifold import SpdPoint, exp_map, random_spd
 from rdn.objectives import (
     Family,
     GradientField,
@@ -62,6 +62,34 @@ class DenseField:
         return -merit_gradient(self.objective, p)
 
 
+class AffineField:
+    """The shipped field carried through the isometry P -> G P G^T of the
+    affine-invariant metric: X_G(Q) = G X(G^-1 Q G^-T) G^T.  Its iterates
+    share no fixed eigenbasis, so every step runs the dense route, with no
+    hand-over to decide it."""
+
+    def __init__(self, objective, g):
+        self.objective, self.g, self.g_inv = objective, g, np.linalg.inv(g)
+
+    def _back(self, q):
+        return SpdPoint(self.g_inv @ q.matrix @ self.g_inv.T)
+
+    def _forward(self, x):
+        return self.g @ x @ self.g.T
+
+    def field_value(self, q):
+        return self._forward(riemannian_grad(self.objective, self._back(q)))
+
+    def newton_solve(self, q):
+        return self._forward(newton_solve(self.objective, self._back(q)))
+
+    def merit_value(self, q):
+        return merit_value(self.objective, self._back(q))
+
+    def fallback_direction(self, q):
+        return self._forward(-merit_gradient(self.objective, self._back(q)))
+
+
 def _both(spec):
     """Solve ``spec`` on both routes; also report whether the spectral run
     handed over (some iterate arrived without a spectral frame)."""
@@ -101,6 +129,24 @@ def test_table1_cells_agree_across_backends(seed, init_range):
     assert not failures, "; ".join(failures[:8])
 
 
+@pytest.mark.parametrize("init_range", INIT_RANGES, ids=lambda r: f"{r[0]:g},{r[1]:g}")
+def test_affine_images_keep_the_counters(init_range):
+    # The metric is affine-invariant and the Newton iteration coordinate-free,
+    # so the run from G P_0 G^T on the dense route takes the steps of the
+    # spectral run from P_0.  This is the dense line search's reference, one
+    # that does not depend on needs_dense.
+    failures = []
+    for spec in table1_grid(42, max_dim=100, init_eig_range=init_range):
+        n = spec.dim
+        g = 2.0 * np.eye(n) + np.random.default_rng(spec.seed).standard_normal((n, n)) / np.sqrt(n)
+        p0 = random_spd(n, *spec.init_eig_range, seed=spec.seed)
+        _, affine = solve(AffineField(spec.objective(), g), SpdPoint(g @ p0.matrix @ g.T), spec.config())
+        r = run_experiment(spec)
+        if (affine.status.value, affine.nit, affine.ge) != (r.status, r.nit, r.ge):
+            failures.append(f"{spec}: {affine.status.value}/{affine.nit}/{affine.ge} vs {r.status}/{r.nit}/{r.ge}")
+    assert not failures, "; ".join(failures[:8])
+
+
 def _fresh_exp_map(p, v, t=1.0):
     """exp_map with every trial formed and checked again: the step t of the
     line ``v`` as the plain tangent t V, which shares nothing with the
@@ -125,9 +171,8 @@ def _run_bits(spec):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_shared_trials_match_trials_formed_afresh(seed, init_range, monkeypatch):
     # The line search and the full step take the trial the hand-over check
-    # kept on the iteration's line, and a dense line's trials share one
-    # factorization; forming every trial afresh must give the same runs, bit
-    # for bit.
+    # kept on the iteration's line; forming every trial afresh must give the
+    # same runs, bit for bit.
     specs = table1_grid(seed, max_dim=100, init_eig_range=init_range)
     exps = []
     exp = np.exp

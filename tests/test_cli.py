@@ -1,7 +1,11 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rdn
 from rdn.bench import RESULT_HEADER, TRACE_HEADER, ExperimentSpec
 from rdn.cli import build_parser, main
 from rdn.objectives import Family
@@ -221,3 +225,25 @@ def test_parser_defaults_are_the_dataclasses_defaults():
     config = SolverConfig()
     assert (args.sigma, args.tol, args.max_iters) == (config.sigma, config.grad_tol, config.max_iters)
     assert args.init_range == ExperimentSpec(Family.F1, 1.0, 1, Method.DAMPED, 0).init_eig_range
+
+
+def test_paper_grid_is_byte_identical_across_blas_threads(tmp_path):
+    # The wide-start grid reaches n = 1000, where a dense factorization
+    # rounds differently on one and on two OpenBLAS threads.  Its CSV must
+    # not depend on that: no iteration there hands over to the dense route.
+    src = str(Path(rdn.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}.csv"
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
+        )
+        argv = ["--table1", "--seed", "42", "--init-range", "1,10", "--out", str(out), "--quiet"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdn.cli", *argv], env=env, capture_output=True, text=True, timeout=600
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

@@ -68,6 +68,14 @@ class TestSpdPoint:
             SpdPoint(np.eye(2), eigen=manifold.identity_eigen(np.ones((2, 1))))
         assert SpdPoint(np.eye(3), eigen=pair).eigen is pair and pair._basis is None
 
+    def test_rejects_dimension_zero(self):
+        # As from_frame and random_spd do: a 0 x 0 point has no eigenvalue to
+        # check, and solve from it would end in an IndexError.
+        empty = np.zeros((0, 0))
+        for eigen in (None, manifold.EigenPair(np.zeros(0), empty)):
+            with pytest.raises(DimMismatch):
+                SpdPoint(empty, eigen=eigen)
+
     @pytest.mark.parametrize(
         "values, basis, error",
         [
@@ -296,63 +304,44 @@ def _counting_eigh(monkeypatch):
 
 
 def _line_search_cases():
-    """(point, direction, trial exponents j, reusable) over n <= 100 and
-    j <= 60.  The unreusable ones reach the subnormal range: their
+    """(point, direction, trial exponents j, subnormal) over n <= 100 and
+    j <= 60.  The subnormal ones reach the subnormal range: their
     direction has an entry of 1e-300, on a point of scale 1 or 2^-400."""
     rng = np.random.default_rng(20261018)
     for i in range(40):
-        reusable = i % 4 != 3
-        n = int(rng.choice([1, 2, 3, 7, 20, 100] if reusable else [2, 3, 7, 20, 100]))
+        subnormal = i % 4 == 3
+        n = int(rng.choice([2, 3, 7, 20, 100] if subnormal else [1, 2, 3, 7, 20, 100]))
         low = 10.0 ** rng.uniform(-3.0, 0.0)
         p = random_spd(n, low, low * 10.0 ** rng.uniform(0.0, 6.0), seed=i)
         v = random_symmetric(rng, n, scale=low * 10.0 ** rng.uniform(-3.0, 14.0))
-        if not reusable:
+        if subnormal:
             if i % 8 == 7:
                 p, v = SpdPoint(2.0**-400 * p.matrix), 2.0**-400 * v
             v[0, -1] = v[-1, 0] = 1e-300
         js = sorted({0, *rng.integers(0, 61, size=6).tolist()})
-        yield p, v, js, reusable
+        yield p, v, js, subnormal
 
 
 class TestDenseTangent:
     def test_trials_match_the_per_trial_recipe_bitwise(self, monkeypatch):
-        # The shared factorization is bitwise what each trial would compute:
-        # scaling by 2^-j commutes with rounding in the products, in eigh and
-        # in exp.  A BLAS or LAPACK that breaks this fails here.
-        fallbacks = 0
-        for p, v, js, reusable in _line_search_cases():
+        # Each step of a line is bitwise the step of the scaled tangent, and
+        # factors its own whitened step: one eigh per factored trial, as the
+        # plain tangents pay, into the subnormal range as well.
+        subnormal_factored = 0
+        for p, v, js, subnormal in _line_search_cases():
             p.eigen
             calls = _counting_eigh(monkeypatch)
             want = [_trial(p, 2.0**-j * v) for j in js]
             own = len(calls)
             line = Line(p, v)
             got = [_trial(p, line, 2.0**-j) for j in js]
-            shared = len(calls) - own
+            along = len(calls) - own
             monkeypatch.undo()
             mismatched = [j for j, g, w in zip(js, got, want) if g != w]
-            assert not mismatched, (p.dim, mismatched, reusable)
-            # One factorization for the line search, or one per trial where
-            # the trials reach the subnormal range.
-            assert shared == (min(own, 1) if reusable else own), (p.dim, js, reusable, own, shared)
-            fallbacks += not reusable and own > 1
-        assert fallbacks >= 5
-
-    def test_shares_only_power_of_two_steps_at_one_point(self, monkeypatch):
-        rng = np.random.default_rng(6)
-        p, q = random_spd(5, 1.0, 3.0, seed=6), random_spd(5, 1.0, 3.0, seed=7)
-        v = random_symmetric(rng, 5)
-        p.eigen, q.eigen
-        line = Line(p, v)
-        exp_map(p, line)
-        calls = _counting_eigh(monkeypatch)
-        assert _trial(p, line, 0.25) == _trial(p, 0.25 * v)
-        assert len(calls) == 1  # the plain ndarray's own
-        # A line steps only from its own point (see
-        # test_line_steps_at_another_point_raise), so q gets its own line,
-        # whose first step factors its own.
-        for t, at, along in ((0.75, p, line), (0.5, q, Line(q, v)), (2.0, p, line)):
-            assert _trial(at, along, t) == _trial(at, t * v)
-        assert len(calls) == 7
+            assert not mismatched, (p.dim, mismatched, subnormal)
+            assert along == own, (p.dim, js, subnormal, own, along)
+            subnormal_factored += subnormal and own > 1
+        assert subnormal_factored >= 5
 
 
 class TestDistance:
@@ -487,15 +476,23 @@ class TestSpectralSeam:
         assert needs_dense(Line(narrow, SpectralTangent(np.zeros(2))), np.array([1.0]))
 
     def test_hand_over_below_the_rounding_floor(self):
-        # The dense route accepts a few materialized matrices at a spread of
-        # 1e-18, so such a trial is left to it rather than rejected here.
+        # A trial below the 1e-17 rounding floor cannot be formed: exp_map
+        # rejects it as StepOverflow and the line search backtracks past it,
+        # so it hands nothing over, like an overflowing trial.
         p = SpdPoint.from_frame(np.ones(2), np.eye(2))
         v = SpectralTangent(np.array([0.0, np.log(1e-18)]))
-        assert needs_dense(Line(p, v), np.array([1.0, 0.5]))
-        with pytest.raises(StepOverflow):
-            exp_map(p, v)
+        assert not needs_dense(Line(p, v), np.array([1.0, 0.5]))  # the half step 1e-9 is inside
         underflow = SpectralTangent(np.array([0.0, -800.0]))
-        assert needs_dense(Line(p, underflow), np.array([1.0]))
+        assert not needs_dense(Line(p, underflow), np.array([1.0]))
+        for tangent in (v, underflow):
+            with pytest.raises(StepOverflow):
+                exp_map(p, tangent)
+        # Past a skipped trial, the first one that can be formed still hands
+        # over where its spread lies in [1e-17, 1e-13).
+        skipped = SpectralTangent(np.array([0.0, np.log(1e-32)]))
+        assert needs_dense(Line(p, skipped), np.array([1.0, 0.5]))  # 1e-32, then 1e-16
+        for spread in (1e-16, 2e-17):
+            assert needs_dense(Line(p, SpectralTangent(np.array([0.0, np.log(spread)]))), np.array([1.0]))
 
     def test_overflowing_trials_stay_spectral(self):
         p = SpdPoint.from_frame(np.ones(2), np.eye(2))
@@ -635,7 +632,9 @@ _TRIAL_STEPS = np.ldexp(1.0, -np.arange(61))
 
 def _needs_dense_by_scan(p, v, steps):
     """The hand-over rule applied to the iterate and every trial step at once:
-    the reference for needs_dense, which forms only the first finite trial."""
+    the reference for needs_dense, which forms only the first representable
+    trial.  A trial that is not finite, or whose spread lies below the 1e-17
+    rounding floor, is rejected by exp_map and hands nothing over."""
     values = p.spectrum
     if np.max(np.abs(v.coeffs)) > 1e100:
         return True
@@ -644,15 +643,17 @@ def _needs_dense_by_scan(p, v, steps):
         points = np.vstack([values, trials])
         low, high = points.min(axis=1), points.max(axis=1)
         inside = (low / high >= 1e-13) & (low >= 1e-100) & (high <= 1e100)
-    finite = np.all(np.isfinite(points), axis=1)
-    return bool(np.any(finite & ~inside))
+        representable = np.all(np.isfinite(points), axis=1) & (low / high >= 1e-17)
+    representable[0] = True  # the iterate itself is a point
+    return bool(np.any(representable & ~inside))
 
 
 def _near_a_bound(values, ulps=64):
     """Whether the spread, the least or the greatest eigenvalue lies within
-    ``ulps`` units in the last place of its hand-over bound."""
+    ``ulps`` units in the last place of its hand-over bound or of the
+    rounding floor."""
     low, high = np.min(values), np.max(values)
-    pairs = ((low / high, 1e-13), (low, 1e-100), (high, 1e100))
+    pairs = ((low / high, 1e-13), (low / high, 1e-17), (low, 1e-100), (high, 1e100))
     return any(abs(x / bound - 1.0) <= ulps * 2.0**-52 for x, bound in pairs)
 
 

@@ -199,20 +199,6 @@ class TestArmijo:
         assert not res.accepted
         assert res.point is None
 
-    def test_dense_line_search_factors_its_direction_once(self, monkeypatch):
-        # Every backtracked trial reuses the eigenpair of the whitened
-        # direction; the other eigh calls are the evaluated trials' merits.
-        problem = GradientField(Objective(Family.F2, 1.0, 0.001))
-        p = random_spd(20, 1.0, 10.0, seed=11)
-        v = problem.newton_solve(p)
-        merit = problem.merit_value(p)
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a.shape) or eigh(a, *args))
-        res = armijo_stepsize(problem, p, v, sigma=1e-4, merit=merit)
-        assert res.accepted and res.backtracks >= 3
-        assert len(calls) <= 1 + res.evaluations
-
     def test_returns_accepted_point_and_merit(self):
         problem = f1_problem()
         p = SpdPoint(np.array([[10.0]]))

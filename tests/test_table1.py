@@ -37,8 +37,9 @@ print(json.dumps(rows))
 """
 
 # family, ratio, dim, method, start range, status, NIT, HE, GE: every cell of
-# the table at both start ranges.  The damped n = 1000 rows at 1,10 hand over
-# to the dense route, so they guard its line search bit for bit.
+# the table at both start ranges.  No n = 1000 row hands over to the dense
+# route; test_backends.py::test_affine_images_keep_the_counters guards its
+# line search.
 PINNED = [
     ["f1", 0.1, 1, "full", "9,10", "converged", 97, 97, 97],
     ["f1", 0.1, 1, "damped", "9,10", "converged", 6, 6, 18],
