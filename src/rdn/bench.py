@@ -3,8 +3,8 @@
 One experiment fixes (family, ratio, dim, method, seed): the objective is
 built with a = 1 and b = ratio, the start is a random point with spectrum
 uniform in ``init_eig_range``, and the run is fully deterministic given the
-spec.  ``run_grid`` fans experiments out over a thread pool (capped by the
-RDN_THREADS environment variable) while preserving input order.
+spec.  ``run_grid`` runs experiments one after another in the calling
+thread, in input order.
 
 CSV output is byte-deterministic: floats are written in shortest round-trip
 form, lines end in a bare newline and, by default, the wall-clock column is
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import RdnError
@@ -134,31 +133,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     )
 
 
-def _worker_count() -> int:
-    """Threads ``run_grid`` uses by default: RDN_THREADS, else the CPU count."""
-    env = os.environ.get("RDN_THREADS", "").strip()
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"RDN_THREADS must be a positive integer, got {env!r}")
-        return workers
-    return max(1, os.cpu_count() or 1)
-
-
-def run_grid(specs, max_workers: int | None = None) -> list[ExperimentResult]:
-    """Run every spec, in parallel across at most one thread per spec,
-    preserving input order."""
-    specs = list(specs)
-    if not specs:
-        return []
-    workers = min(max_workers if max_workers is not None else _worker_count(), len(specs))
-    if workers == 1:
-        return [run_experiment(s) for s in specs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_experiment, specs))
+def run_grid(specs) -> list[ExperimentResult]:
+    """Run every spec in the calling thread, in input order."""
+    return [run_experiment(s) for s in specs]
 
 
 def table1_grid(seed: int, *, max_dim: int | None = None, **settings) -> list[ExperimentSpec]:

@@ -10,10 +10,11 @@ Full grid (both families, ratios 0.1/1.0/1.5 and 0.001/0.002/0.01, dims
 
     rdn-bench --table1 --max-dim 100 --seed 42 --out table1.csv
 
-Exit code is 0 iff every requested run converged; invalid arguments (and an
-RDN_THREADS that is not a positive integer, or an output path that is a
-directory or lies in a missing one) exit with 2 and a usage message before any
-run, as does an output that cannot be written after the runs (a full disk).
+A grid runs its cells one after another in the calling thread.  Exit code is
+0 iff every requested run converged; invalid arguments (and an output path
+that is a directory, lies in a missing one or names the same file as the
+other output) exit with 2 and a usage message before any run, as does an
+output that cannot be written after the runs (a full disk).
 The CSV keeps its wall-clock column at 0.0 unless --wall-times is given, so
 identical invocations produce byte-identical files; measured times are always
 printed in the per-run summary.
@@ -25,7 +26,7 @@ import argparse
 import os
 import sys
 
-from .bench import ExperimentSpec, _worker_count, emit_csv, emit_trace, run_grid, table1_grid
+from .bench import ExperimentSpec, emit_csv, emit_trace, run_grid, table1_grid
 from .objectives import Family
 from .solver import Method, SolverConfig, Status
 
@@ -104,7 +105,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     # Specs validate their values; a bad one is a usage error, not a failed run.
     try:
-        workers = _worker_count()
         if args.table1:
             specs = table1_grid(args.seed, max_dim=args.max_dim, **settings)
         else:
@@ -118,8 +118,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{flag}: cannot write {path}: it is a directory")
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             parser.error(f"{flag}: cannot write {path}: no such directory")
+    if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
+        parser.error(f"--out and --trace name the same file: {args.trace}")
 
-    results = run_grid(specs, max_workers=workers)
+    results = run_grid(specs)
 
     if not args.quiet:
         for r in results:

@@ -130,13 +130,14 @@ def test_table1_cells_agree_across_backends(seed, init_range):
 
 
 @pytest.mark.parametrize("init_range", INIT_RANGES, ids=lambda r: f"{r[0]:g},{r[1]:g}")
-def test_affine_images_keep_the_counters(init_range):
+@pytest.mark.parametrize("seed", SEEDS)
+def test_affine_images_keep_the_counters(seed, init_range):
     # The metric is affine-invariant and the Newton iteration coordinate-free,
     # so the run from G P_0 G^T on the dense route takes the steps of the
     # spectral run from P_0.  This is the dense line search's reference, one
     # that does not depend on needs_dense.
     failures = []
-    for spec in table1_grid(42, max_dim=100, init_eig_range=init_range):
+    for spec in table1_grid(seed, max_dim=100, init_eig_range=init_range):
         n = spec.dim
         g = 2.0 * np.eye(n) + np.random.default_rng(spec.seed).standard_normal((n, n)) / np.sqrt(n)
         p0 = random_spd(n, *spec.init_eig_range, seed=spec.seed)

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -91,29 +92,18 @@ class TestRunGrid:
         results = run_grid(specs)
         assert [r.spec.dim for r in results] == [2, 3, 4]
 
-    def test_parallel_matches_sequential(self):
-        specs = table1_grid(11, max_dim=10)
-        seq = run_grid(specs, max_workers=1)
-        par = run_grid(specs, max_workers=4)
-        for a, b in zip(seq, par):
-            assert a.spec == b.spec
-            assert (a.status, a.nit, a.he, a.ge) == (b.status, b.nit, b.he, b.ge)
-            assert a.final_grad_norm == b.final_grad_norm
+    def test_runs_every_spec_in_the_callers_thread_in_order(self, monkeypatch):
+        calls = []
 
-    def test_single_run_starts_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("started a thread pool")
+        def recording(s):
+            calls.append((threading.get_ident(), s))
+            return run_experiment(s)
 
-        monkeypatch.delenv("RDN_THREADS", raising=False)
-        monkeypatch.setattr("rdn.bench.os.cpu_count", lambda: 2)
-        monkeypatch.setattr("rdn.bench.ThreadPoolExecutor", no_pool)
-        assert [r.spec for r in run_grid([spec()])] == [spec()]
-        assert [r.spec for r in run_grid([spec()], max_workers=4)] == [spec()]
-
-    def test_thread_cap_env(self, monkeypatch):
-        monkeypatch.setenv("RDN_THREADS", "2")
-        results = run_grid([spec(), spec(dim=3)])
-        assert len(results) == 2
+        monkeypatch.setattr("rdn.bench.run_experiment", recording)
+        specs = [spec(dim=d, seed=d) for d in (4, 2, 3, 2)]
+        results = run_grid(specs)
+        assert calls == [(threading.get_ident(), s) for s in specs]
+        assert [r.spec for r in results] == specs
 
 
 class TestTable1Grid:
@@ -333,17 +323,32 @@ def test_narrow_n1000_run_holds_few_matrices():
     assert peak < 2.5 * n * n * 8
 
 
-def test_ratios_near_the_float_range_end_without_warnings_on_a_pool():
-    # The cells above, fanned out over two threads: each worker's runs set
-    # their own error state.
+def test_ratios_near_the_float_range_end_without_warnings_on_two_threads():
+    # The cells above, split over two threads: each thread's runs set their
+    # own error state.
     cells = [
         (ExperimentSpec(Family.F1, 9.61739821402542e307, 2, Method.DAMPED, 352551), 236, 472),
         (ExperimentSpec(Family.F2, 1.6424888986677155e-307, 7, Method.FULL, 622075), 0, 0),
         (ExperimentSpec(Family.F1, 1.5787476153139683e-308, 9, Method.FULL, 963496), 0, 0),
     ]
+    results, errors = [None] * len(cells), []
+
+    def run(indices):
+        try:
+            for i in indices:
+                results[i] = run_experiment(cells[i][0])
+        except Exception as err:  # a warning raised as an error
+            errors.append(err)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        results = run_grid([s for s, _, _ in cells], max_workers=2)
+        threads = [threading.Thread(target=run, args=(share,)) for share in ((0, 2), (1,))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
     for (_, nit, ge), r in zip(cells, results):
         assert (r.status, r.nit, r.ge) == (Status.STEP_OVERFLOW.value, nit, ge)
 

@@ -123,23 +123,6 @@ def test_invalid_value_in_grid_is_a_usage_error(capsys):
     assert "sigma" in capsys.readouterr().err
 
 
-def test_non_integer_thread_count_is_a_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("RDN_THREADS", "x")
-    with pytest.raises(SystemExit) as exc:
-        main(SINGLE_RUN)
-    assert exc.value.code == 2
-    assert "RDN_THREADS" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_thread_count_below_one_is_a_usage_error(monkeypatch, capsys, threads):
-    monkeypatch.setenv("RDN_THREADS", threads)
-    with pytest.raises(SystemExit) as exc:
-        main(SINGLE_RUN)
-    assert exc.value.code == 2
-    assert "RDN_THREADS" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -163,6 +146,22 @@ def test_bad_input_fails_before_any_run(argv, message, tmp_path, monkeypatch, ca
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and message in err
+
+
+@pytest.mark.parametrize("trace_name", ["a.csv", "link.csv"])
+def test_out_and_trace_naming_one_file_is_a_usage_error(trace_name, tmp_path, monkeypatch, capsys):
+    # The trace would overwrite the results; link.csv is a symlink to a.csv.
+    def no_runs(*args, **kwargs):
+        raise AssertionError("ran the grid")
+
+    monkeypatch.setattr("rdn.cli.run_grid", no_runs)
+    (tmp_path / "link.csv").symlink_to(tmp_path / "a.csv")
+    with pytest.raises(SystemExit) as exc:
+        main([*SINGLE_RUN, "--out", str(tmp_path / "a.csv"), "--trace", str(tmp_path / trace_name)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "same file" in err
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_dim_is_bounded_by_physical_memory(monkeypatch, capsys):
