@@ -12,9 +12,10 @@ Full grid (both families, ratios 0.1/1.0/1.5 and 0.001/0.002/0.01, dims
 
 A grid runs its cells one after another in the calling thread.  Exit code is
 0 iff every requested run converged; invalid arguments (and an output path
-that is a directory, lies in a missing one or names the same file as the
-other output) exit with 2 and a usage message before any run, as does an
-output that cannot be written after the runs (a full disk).
+that is empty, is a directory or ends in a separator, lies in a missing
+directory or names the same file as the other output) exit with 2 and a
+usage message before any run, as does an output that cannot be written after
+the runs (a full disk).
 The CSV keeps its wall-clock column at 0.0 unless --wall-times is given, so
 identical invocations produce byte-identical files; measured times are always
 printed in the per-run summary.
@@ -114,9 +115,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(err))
     # Fail before the runs, not after them, when an output cannot be written.
     for flag, path in (("--out", args.out), ("--trace", args.trace)):
-        if path and os.path.isdir(path):
-            parser.error(f"{flag}: cannot write {path}: it is a directory")
-        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        if path is None:
+            continue
+        if not path:
+            parser.error(f"{flag}: the path is empty")
+        # abspath drops a trailing separator, so check for it first.
+        if path.endswith(os.sep) or (os.altsep and path.endswith(os.altsep)) or os.path.isdir(path):
+            parser.error(f"{flag}: cannot write {path}: it names a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             parser.error(f"{flag}: cannot write {path}: no such directory")
     if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
         parser.error(f"--out and --trace name the same file: {args.trace}")

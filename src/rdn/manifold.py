@@ -458,12 +458,12 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
         if kept is not None and kept[0] == t:
             return SpdPoint._from_spectrum(kept[1], None, p._basis, checked=True, in_bounds=True)
         values = _spectral_trial(p._values, v.coeffs, t)
-        if not np.isfinite(values).all():
-            raise StepOverflow("exponential-map result has non-finite entries")
-        # A finite spread of at least the floor also makes every value positive.
+        # A spread of at least the floor also makes every value finite and
+        # positive: a nan fails the test, an infinite value gives a spread of
+        # 0 or nan, and an underflowed one a spread of 0.
         low, high = _extremes(values)
         if not low / high >= _ROUNDING_FLOOR:
-            raise StepOverflow("exponential-map result rounded outside the cone")
+            raise StepOverflow("exponential-map result overflowed or rounded outside the cone")
         return SpdPoint._from_spectrum(values, None, p._basis, checked=True)
     step = _tangent_at(p, v if t == 1.0 else t * v)
     lam = p.eigen.values

@@ -8,7 +8,8 @@ iterates
     step 1:  search direction v from the Newton system X(P) + DX(P)[v] = 0,
              falling back to -grad phi(P) when that system has no solution,
     step 2:  step size alpha = max{2^-j : phi(exp_P(2^-j v)) <=
-             phi(P) + sigma 2^-j <grad phi(P), v>},  trying j = 0 first,
+             phi(P) + sigma 2^-j <grad phi(P), v>},  trying j = 0..60 in
+             turn (the search fails if none passes),
     step 3:  P <- exp_P(alpha v).
 
 For Newton directions <grad phi, v> = -||X||^2 = -2 phi(P), so the step-2
@@ -113,17 +114,11 @@ class Problem(Protocol):
     def fallback_direction(self, p: SpdPoint) -> np.ndarray: ...
 
 
-def _check_max_backtracks(max_backtracks: int) -> None:
-    if not 0 <= max_backtracks <= 1074:
-        raise ValueError(f"max_backtracks must lie in [0, 1074], where 2^-j > 0, got {max_backtracks}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     sigma: float = 1e-4
     grad_tol: float = 1e-8
     max_iters: int = 500
-    max_backtracks: int = 60
     method: Method = Method.DAMPED
 
     def __post_init__(self):
@@ -133,7 +128,6 @@ class SolverConfig:
             raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        _check_max_backtracks(self.max_backtracks)
 
 
 @dataclass(frozen=True)
@@ -208,19 +202,22 @@ class ArmijoResult:
 # overflows, it rounds outside the cone, or its field or merit is not finite.
 _BREAKDOWN = (InvalidPoint, StepOverflow, SpectrumDomainError)
 
+# Step 2's step sizes 2^-j, j = 0..60.  The line search tries them largest
+# first, and the hand-over check reads the first whose trial it can form.
+_STEPS = tuple(2.0**-j for j in range(61))
+
 
 def armijo_stepsize(
     problem: Problem,
     p: SpdPoint,
     v: Line | np.ndarray,
     sigma: float,
-    max_backtracks: int = SolverConfig.max_backtracks,
     *,
     direction_kind: DirectionKind = DirectionKind.NEWTON,
     merit: float | None = None,
 ) -> ArmijoResult:
-    """Backtracking step size: largest 2^-j, j = 0..max_backtracks, with
-    sufficient merit decrease.  The full step j = 0 is always tried first.
+    """Backtracking step size: largest 2^-j, j = 0..60, with sufficient merit
+    decrease.  The full step j = 0 is always tried first.
 
     ``merit`` is phi(P), computed if omitted.  The slope <grad phi(P), v>
     needs no gradient: for Newton directions it equals -2 phi(P) exactly and
@@ -231,7 +228,6 @@ def armijo_stepsize(
     iteration's Line from ``p``, or a bare direction put on a Line of its
     own; each trial is one exp_map(p, line, t), on what the line holds.
     """
-    _check_max_backtracks(max_backtracks)
     if merit is None:
         merit = problem.merit_value(p)
     line = v if isinstance(v, Line) else Line(p, v)
@@ -239,8 +235,7 @@ def armijo_stepsize(
     if not newton:
         slope = -inner(p, line.direction, line.direction)
     evaluations = 0
-    for j in range(max_backtracks + 1):
-        t = 2.0**-j
+    for j, t in enumerate(_STEPS):
         try:
             candidate = exp_map(p, line, t)
             trial = problem.merit_value(candidate)
@@ -255,7 +250,7 @@ def armijo_stepsize(
             # Positional, in field order: alpha, backtracks, evaluations,
             # accepted, point, merit.
             return ArmijoResult(t, j, evaluations, True, candidate, trial)
-    return ArmijoResult(0.0, max_backtracks, evaluations, False, None, merit)
+    return ArmijoResult(0.0, len(_STEPS) - 1, evaluations, False, None, merit)
 
 
 def _spectral_form(p: SpdPoint) -> SpdPoint:
@@ -296,10 +291,7 @@ def solve(
     k = 0
     final_grad_norm = math.nan
     final_merit = math.nan
-    # Step sizes a line search may try, largest first; the hand-over check
-    # reads the first whose trial is finite.
     full = config.method is Method.FULL
-    trial_steps = (1.0,) if full else tuple(2.0**-j for j in range(config.max_backtracks + 1))
     if on_iterate is not None:
         on_iterate(0, p0)
     while True:
@@ -321,7 +313,7 @@ def solve(
         try:
             v, kind = direction(problem, p)
             line = Line(p, v)
-            if needs_dense(line, trial_steps):
+            if needs_dense(line, _STEPS[:1] if full else _STEPS):
                 p = p.to_dense()
                 handed_over = True
                 continue
@@ -329,9 +321,7 @@ def solve(
                 nxt = exp_map(p, line)
                 alpha, backtracks, trial_evals = 1.0, 0, 0
             else:
-                result = armijo_stepsize(
-                    problem, p, line, config.sigma, config.max_backtracks, direction_kind=kind, merit=merit
-                )
+                result = armijo_stepsize(problem, p, line, config.sigma, direction_kind=kind, merit=merit)
                 if not result.accepted:
                     status = Status.LINE_SEARCH_FAILED
                     break

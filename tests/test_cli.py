@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -133,8 +134,24 @@ def test_invalid_value_in_grid_is_a_usage_error(capsys):
         ([*SINGLE_RUN, "--out", "{here}"], "directory"),
         ([*SINGLE_RUN, "--max-dim", "5"], "--max-dim"),
         (_replace(SINGLE_RUN, "--dim", str(10**20)), "physical memory"),
+        ([*SINGLE_RUN, "--out", ""], "--out: the path is empty"),
+        ([*SINGLE_RUN, "--trace", ""], "--trace: the path is empty"),
+        ([*SINGLE_RUN, "--out", "{missing}" + os.sep], "names a directory"),
+        ([*SINGLE_RUN, "--trace", "{here}/t.csv" + os.sep], "names a directory"),
     ],
-    ids=["seed", "max-dim", "out", "trace", "out-is-a-directory", "max-dim-without-table1", "dim-beyond-memory"],
+    ids=[
+        "seed",
+        "max-dim",
+        "out",
+        "trace",
+        "out-is-a-directory",
+        "max-dim-without-table1",
+        "dim-beyond-memory",
+        "out-empty",
+        "trace-empty",
+        "out-ends-in-a-separator",
+        "trace-ends-in-a-separator",
+    ],
 )
 def test_bad_input_fails_before_any_run(argv, message, tmp_path, monkeypatch, capsys):
     def no_runs(*args, **kwargs):
@@ -197,6 +214,18 @@ def test_distance_from_a_subnormal_minimizer_is_finite(tmp_path):
     fields = dict(zip(header.split(","), row.split(",")))
     assert (fields["status"], fields["nit"]) == (Status.STEP_OVERFLOW.value, "0")
     assert float(fields["final_dist"]) == pytest.approx(1278.2162370378155, rel=1e-14)
+
+
+def test_f2_below_a_ratio_of_one_over_the_float_maximum_overflows_at_once(tmp_path):
+    # a/b overflows to inf, so neither the first Newton direction nor the
+    # minimizer can be formed; at ratio 5.6e-309 a/b is finite.
+    out = tmp_path / "r.csv"
+    code = main(["--family", "f2", "--ratio", "5.5e-309", "--dim", "2", "--method", "damped", "--out", str(out), "--quiet"])
+    assert code == 1
+    header, row = out.read_text().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert (fields["status"], fields["nit"]) == (Status.STEP_OVERFLOW.value, "0")
+    assert math.isnan(float(fields["final_dist"]))
 
 
 def _fail_to_write(path, lines):

@@ -464,6 +464,10 @@ class TestSpectralSeam:
             exp_map(p, SpectralTangent(np.array([800.0, 0.0])))
         with pytest.raises(StepOverflow):  # spread e^-40 < 1e-17
             exp_map(p, SpectralTangent(np.array([0.0, -40.0])))
+        with pytest.raises(StepOverflow):  # a nan coefficient gives a nan value
+            exp_map(p, SpectralTangent(np.array([np.nan, 0.0])))
+        with pytest.raises(StepOverflow):  # every value inf: the spread is nan
+            exp_map(p, SpectralTangent(np.array([800.0, 800.0])))
         assert exp_map(p, SpectralTangent(np.array([0.0, -30.0]))).frame is not None
 
     def test_hand_over_near_the_rounding_floor(self):

@@ -125,24 +125,6 @@ class TestSolverConfig:
             SolverConfig(grad_tol=math.nan)
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_backtracks=-1)
-
-    def test_backtracks_stop_at_the_smallest_positive_step(self):
-        # 2^-1074 is the smallest positive double and 2^-1075 rounds to zero,
-        # where the trial is P itself and passes whenever the merit did not rise.
-        assert 2.0**-1074 > 0.0 == 2.0**-1075
-        assert SolverConfig(max_backtracks=1074).max_backtracks == 1074
-        with pytest.raises(ValueError, match="1074"):
-            SolverConfig(max_backtracks=1075)
-        problem = GradientField(Objective(Family.F1, 1.0, 1.0))
-        p = SpdPoint.from_frame(np.array([2.0]), np.eye(1))
-        v = SpectralTangent(np.array([1e308]))
-        # At 1100 backtracks this search used to accept the null step j = 1075.
-        with pytest.raises(ValueError, match="1074"):
-            armijo_stepsize(problem, p, v, 1e-4, max_backtracks=1100)
-        res = armijo_stepsize(problem, p, v, 1e-4, max_backtracks=1074)
-        assert not res.accepted and res.backtracks == 1074 and res.point is None
 
 
 class TestDirection:
@@ -193,11 +175,18 @@ class TestArmijo:
     def test_exhausted_search_reports_failure(self):
         problem = RejectingMerit(Objective(Family.F1, 1.0, 0.1))
         p = SpdPoint(np.array([[2.0]]))
-        res = armijo_stepsize(
-            problem, p, problem.newton_solve(p), sigma=1e-4, max_backtracks=8, merit=1.0
-        )
+        res = armijo_stepsize(problem, p, problem.newton_solve(p), sigma=1e-4, merit=1.0)
         assert not res.accepted
         assert res.point is None
+
+    def test_all_overflowing_trials_exhaust_the_ladder(self):
+        # Every trial 2^-j * 1e308, j <= 60, overflows its exponential, so the
+        # search backtracks through the whole ladder without a merit evaluation.
+        problem = GradientField(Objective(Family.F1, 1.0, 1.0))
+        p = SpdPoint.from_frame(np.array([2.0]), np.eye(1))
+        res = armijo_stepsize(problem, p, SpectralTangent(np.array([1e308])), 1e-4)
+        assert not res.accepted and res.point is None
+        assert (res.backtracks, res.evaluations) == (60, 0)
 
     def test_returns_accepted_point_and_merit(self):
         problem = f1_problem()
@@ -257,7 +246,7 @@ class TestSolve:
 
     def test_line_search_failure_status(self):
         problem = RejectingMerit(Objective(Family.F1, 1.0, 0.1))
-        _, trace = solve(problem, SpdPoint(np.array([[2.0]])), SolverConfig(max_backtracks=5))
+        _, trace = solve(problem, SpdPoint(np.array([[2.0]])), SolverConfig())
         assert trace.status is Status.LINE_SEARCH_FAILED
         assert trace.nit == 0
 
