@@ -1,7 +1,9 @@
 """Dense symmetric-matrix primitives.
 
-Matrices are plain float ndarrays.  Every operation symmetrizes its output,
-so the (i, j) and (j, i) entries of anything returned here are bitwise equal.
+Matrices are plain float ndarrays.  Products are symmetrized where they are
+formed and inputs where they enter (``sym_eigen``, ``lyapunov_solve``'s rhs),
+so the (i, j) and (j, i) entries of anything returned here are bitwise equal,
+as are those of sums of such matrices, which need no further symmetrize.
 Matrix functions go through the symmetric eigendecomposition: one
 factorization of a point serves sqrt, exp, log and inverse powers alike.
 """

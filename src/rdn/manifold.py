@@ -109,6 +109,10 @@ _ROUNDING_FLOOR = 1e-17
 # (the larger figures at n <= 5, below 0.2 n eps from n = 100).
 _FRAME_TOLERANCE = 16.0
 _EPS = float(np.finfo(float).eps)
+# The smallest normal double.  Below a Frobenius norm of _SQUARES_NORMAL the
+# squares of the entries may be subnormal and lose bits.
+_TINY = float(np.finfo(float).tiny)
+_SQUARES_NORMAL = math.sqrt(_TINY / _EPS)
 
 
 class _LazyPair(EigenPair):
@@ -259,7 +263,8 @@ class SpdPoint:
                 order = np.argsort(values, kind="stable")
                 self._eigen = EigenPair(values=values[order], vectors=basis[:, order])
             else:
-                pair = sym_eigen(self.matrix)
+                # The matrix is exactly symmetric and finite already.
+                pair = EigenPair(*np.linalg.eigh(self.matrix))
                 if float(pair.values[0]) <= 0.0:
                     # Cholesky can accept matrices whose smallest eigenvalues sit
                     # below the rounding floor of the largest; reject them here.
@@ -391,28 +396,28 @@ def inner(p: SpdPoint, u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _frobenius(x: np.ndarray) -> float:
-    """||x||_F.  Where the plain sum of squares overflows but the entries are
-    finite, m ||x / m||_F with m = max|x| (Blue, ACM TOMS 4, 1978); the bits
-    are the plain norm's wherever that is finite.  The plain norm is
-    np.linalg.norm's own recipe, sqrt of the flattened x . x, without its
-    Python-level dispatch."""
+    """||x||_F.  Where the plain sum of squares overflows with finite entries,
+    or lies below _SQUARES_NORMAL^2 with a nonzero entry, m ||x / m||_F with
+    m = max|x| (Blue, ACM TOMS 4, 1978); the bits are the plain norm's
+    everywhere else.  The plain norm is np.linalg.norm's own recipe, sqrt of
+    the flattened x . x, without its Python-level dispatch."""
     flat = x.ravel(order="K")
     r = math.sqrt(flat.dot(flat))
-    if r == math.inf and np.all(np.isfinite(x)):
-        m = float(np.max(np.abs(x)))
-        r = m * float(np.linalg.norm(x / m))
+    if (r == math.inf and np.isfinite(flat).all()) or (r < _SQUARES_NORMAL and flat.any()):
+        m = float(np.abs(flat).max())
+        r = m * float(np.linalg.norm(flat / m))
     return r
 
 
 @quiet
 def norm(p: SpdPoint, v: np.ndarray) -> float:
-    """Metric norm ||V||_P = ||P^{-1/2} V P^{-1/2}||_F; zero iff V = 0.
+    """Metric norm ||V||_P = ||P^{-1/2} V P^{-1/2}||_F; zero iff V = 0, however tiny.
 
     Finite wherever the whitened V is, up to the float range itself."""
     if isinstance(v, SpectralTangent):
         w = v.coeffs / _frame_values(p, v)
         r = math.sqrt(w.dot(w))
-        return r if r != math.inf else _frobenius(w)
+        return r if _SQUARES_NORMAL <= r < math.inf else _frobenius(w)
     v = _tangent_at(p, v)
     s = p.inv_sqrt()
     return _frobenius(s @ v @ s)
@@ -421,8 +426,6 @@ def norm(p: SpdPoint, v: np.ndarray) -> float:
 # Whitened steps below this norm take the series route in exp_map: the
 # truncation error ||M||^3/6 is then under 2e-19, beneath double rounding.
 _EXP_SERIES_CUTOFF = 1e-6
-# The smallest normal double; a step norm below it has lost bits to underflow.
-_TINY = float(np.finfo(float).tiny)
 
 
 @quiet
@@ -466,30 +469,21 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
             raise StepOverflow("exponential-map result overflowed or rounded outside the cone")
         return SpdPoint._from_spectrum(values, None, p._basis, checked=True)
     step = _tangent_at(p, v if t == 1.0 else t * v)
-    lam = p.eigen.values
-    # Overflow here is reported by the finiteness check below.
-    step_norm = float(np.linalg.norm(step, "fro"))
-    if step_norm < _TINY and step.any():
-        # The sum of squares underflowed: rescale by the largest entry.
-        m = float(np.abs(step).max())
-        whitened_bound = float(np.linalg.norm(step / m, "fro")) * (m / float(lam[0]))
-    else:
-        whitened_bound = step_norm / float(lam[0])
-    if whitened_bound <= _EXP_SERIES_CUTOFF:
+    # ||V||_F / lambda_min bounds the whitened step's norm.
+    if _frobenius(step) / float(p.eigen.values[0]) <= _EXP_SERIES_CUTOFF:
         out = symmetrize(p.matrix + step + 0.5 * (step @ p.inv() @ step))
     else:
         s, si = p.sqrt(), p.inv_sqrt()
         try:
-            e = mat_func(symmetrize(si @ step @ si), np.exp)
+            e = mat_func(si @ step @ si, np.exp)
         except (SpectrumDomainError, InvalidMatrix) as err:
             raise StepOverflow("exponential of the whitened step is not finite") from err
+        # A + A^T overflows above half the float maximum: SpdPoint rejects it.
         out = symmetrize(s @ e @ s)
-    if not np.all(np.isfinite(out)):
-        raise StepOverflow("exponential-map result has non-finite entries")
     try:
         return SpdPoint(out)
     except InvalidPoint as err:
-        raise StepOverflow("exponential-map result rounded outside the cone") from err
+        raise StepOverflow("exponential-map result overflowed or rounded outside the cone") from err
 
 
 @quiet
@@ -592,8 +586,7 @@ def distance(a: SpdPoint, b: SpdPoint) -> float:
         lam, c = (b.spectrum, ca) if cb is None else (a.spectrum, cb)
         return float(np.sqrt(np.sum(_log_ratio(lam, c) ** 2)))
     s = a.inv_sqrt()
-    c = symmetrize(s @ b.matrix @ s)
-    pair = sym_eigen(c)
+    pair = sym_eigen(s @ b.matrix @ s)
     if float(pair.values[0]) <= 0.0:
         raise InvalidPoint("relative matrix is not positive definite")
     return float(np.linalg.norm(np.log(pair.values)))

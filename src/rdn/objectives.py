@@ -95,8 +95,8 @@ def value(obj: Objective, p: SpdPoint) -> float:
 def euclidean_grad(obj: Objective, p: SpdPoint) -> np.ndarray:
     """f'(P): a P^{-1} - b P^{-2} for family one, a P^{-1} - b I for family two."""
     if obj.family is Family.F1:
-        return symmetrize(obj.a * p.inv() - obj.b * p.power(-2.0))
-    return symmetrize(obj.a * p.inv() - obj.b * np.eye(p.dim))
+        return obj.a * p.inv() - obj.b * p.power(-2.0)
+    return obj.a * p.inv() - obj.b * np.eye(p.dim)
 
 
 @quiet
@@ -119,8 +119,8 @@ def riemannian_grad(obj: Objective, p: SpdPoint) -> np.ndarray:
     Closed forms of P f'(P) P; they vanish exactly at the minimizer.
     """
     if obj.family is Family.F1:
-        return symmetrize(obj.a * p.matrix - obj.b * np.eye(p.dim))
-    return symmetrize(obj.a * p.matrix - obj.b * p.power(2.0))
+        return obj.a * p.matrix - obj.b * np.eye(p.dim)
+    return obj.a * p.matrix - obj.b * p.power(2.0)
 
 
 @quiet
@@ -173,8 +173,8 @@ def merit_gradient(obj: Objective, p: SpdPoint) -> np.ndarray:
     """
     a, b = np.float64(obj.a), np.float64(obj.b)
     if obj.family is Family.F1:
-        return symmetrize(a * b * np.eye(p.dim) - b**2 * p.inv())
-    return symmetrize(b**2 * p.power(3.0) - a * b * p.power(2.0))
+        return a * b * np.eye(p.dim) - b**2 * p.inv()
+    return b**2 * p.power(3.0) - a * b * p.power(2.0)
 
 
 def minimizer(obj: Objective, dim: int) -> SpdPoint:

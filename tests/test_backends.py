@@ -24,7 +24,6 @@ from rdn.objectives import (
     Family,
     GradientField,
     Objective,
-    hess_apply,
     merit_gradient,
     merit_value,
     newton_solve,
@@ -46,17 +45,11 @@ class DenseField:
     def field_value(self, p):
         return riemannian_grad(self.objective, p)
 
-    def hess_apply(self, p, v):
-        return hess_apply(self.objective, p, v)
-
     def newton_solve(self, p):
         return newton_solve(self.objective, p)
 
     def merit_value(self, p):
         return merit_value(self.objective, p)
-
-    def merit_gradient(self, p):
-        return merit_gradient(self.objective, p)
 
     def fallback_direction(self, p):
         return -merit_gradient(self.objective, p)

@@ -283,7 +283,7 @@ def test_ill_conditioned_starts_converge():
 @pytest.mark.parametrize(
     "family, ratio, dim, method, seed, nit, ge",
     [
-        # riemannian_grad's symmetrize and norm's P^{-1/2} V P^{-1/2} overflow
+        # the field a P - b I is finite; norm's P^{-1/2} V P^{-1/2} overflows
         (Family.F1, 9.61739821402542e307, 2, Method.DAMPED, 352551, 236, 472),
         # lyapunov_solve's products and a matrix function's symmetrize
         (Family.F2, 1.6424888986677155e-307, 7, Method.FULL, 622075, 0, 0),

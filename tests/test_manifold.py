@@ -68,6 +68,14 @@ class TestSpdPoint:
             SpdPoint(np.eye(2), eigen=manifold.identity_eigen(np.ones((2, 1))))
         assert SpdPoint(np.eye(3), eigen=pair).eigen is pair and pair._basis is None
 
+    def test_entries_above_half_the_float_maximum_factor(self):
+        # The matrix is exactly symmetric and finite, so eigen factors it as
+        # it is: forming A + A^T again would overflow.
+        p = SpdPoint(np.diag([1e308, 1.0]))
+        assert list(p.eigen.values) == [1.0, 1e308]
+        assert list(p.spectrum) == [1.0, 1e308]
+        assert list(np.diag(p.inv_sqrt())) == [1e-154, 1.0]
+
     def test_rejects_dimension_zero(self):
         # As from_frame and random_spd do: a 0 x 0 point has no eigenvalue to
         # check, and solve from it would end in an IndexError.
@@ -152,7 +160,7 @@ class TestInnerAndNorm:
     def test_norm_scalar(self):
         assert norm(SpdPoint(np.array([[4.0]])), np.array([[4.0]])) == pytest.approx(1.0)
 
-    def test_norm_rescales_only_where_the_sum_of_squares_overflows(self):
+    def test_norm_rescales_only_where_the_sum_of_squares_overflows_or_underflows(self):
         p = SpdPoint(np.eye(3))
         spectral = p.to_spectral()
         assert norm(p, 1e200 * np.eye(3)) == 1e200 * np.sqrt(3.0)
@@ -166,6 +174,14 @@ class TestInnerAndNorm:
         assert norm(p, v) == float(np.linalg.norm(v, "fro"))
         c = rng.standard_normal(3) * 1e150
         assert norm(spectral, SpectralTangent(c)) == float(np.linalg.norm(c))
+        # Where the squares are subnormal or zero, it rescales: zero only for V = 0.
+        p2 = SpdPoint(np.eye(2))
+        for scale in (1e-160, 1e-170, 5e-324):
+            exact = scale * np.sqrt(2.0)
+            for r in (norm(p2, scale * np.eye(2)), norm(p2.to_spectral(), SpectralTangent(np.full(2, scale)))):
+                assert abs(r - exact) <= np.spacing(exact)
+        assert norm(p2, np.zeros((2, 2))) == 0.0
+        assert norm(p2.to_spectral(), SpectralTangent(np.zeros(2))) == 0.0
 
     @given(st.integers(0, 10**6), st.integers(1, 8))
     @settings(deadline=None)

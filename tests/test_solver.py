@@ -37,10 +37,6 @@ class ConstantField:
     def field_value(self, p):
         return self.c
 
-    def hess_apply(self, p, v):
-        pinv = p.inv()
-        return -0.5 * symmetrize(v @ pinv @ self.c + self.c @ pinv @ v)
-
     def newton_solve(self, p):
         raise SingularOperator("derivative has no inverse")
 
@@ -60,17 +56,11 @@ class FlatMeritField:
     def field_value(self, p):
         return np.eye(p.dim)
 
-    def hess_apply(self, p, v):
-        return np.zeros_like(v)
-
     def newton_solve(self, p):
         raise SingularOperator("derivative has no inverse")
 
     def merit_value(self, p):
         return 1.0
-
-    def merit_gradient(self, p):
-        return np.zeros((p.dim, p.dim))
 
     def fallback_direction(self, p):
         return np.zeros((p.dim, p.dim))
@@ -223,6 +213,21 @@ class TestSolve:
         )
         assert trace.status is Status.STEP_OVERFLOW
         assert point.matrix[0, 0] == 1.0  # last good iterate is returned
+
+    def test_a_start_above_half_the_float_maximum_ends_in_a_status(self):
+        _, trace = solve(GradientField(Objective(Family.F1, 1.0, 1.0)), SpdPoint(np.diag([1e308, 1.0])))
+        assert (trace.status, trace.nit) == (Status.STEP_OVERFLOW, 0)
+
+    @pytest.mark.parametrize("seed", [4, 10, 11])
+    def test_a_start_that_cholesky_accepts_and_eigh_rejects_ends_in_a_status(self, seed):
+        # Cholesky accepts the matrix, but its eigh spectrum reaches below zero
+        # (-6.8e-18 at seed 4): the spectral form cannot be made, the run stays
+        # dense, and the field's norm reports the breakdown before any step.
+        q = np.linalg.qr(np.random.default_rng(seed).standard_normal((20, 20)))[0]
+        start = SpdPoint((q * np.geomspace(1e-18, 1.0, 20)) @ q.T)
+        point, trace = solve(GradientField(Objective(Family.F1, 1.0, 1.0)), start)
+        assert (trace.status, trace.nit, trace.ge) == (Status.STEP_OVERFLOW, 0, 0)
+        assert math.isnan(trace.final_grad_norm) and point is start
 
     @pytest.mark.parametrize("shape, error", [((2, 3), InvalidMatrix), ((3, 3), DimMismatch)])
     def test_a_field_of_the_wrong_shape_is_an_error_not_a_status(self, shape, error):
