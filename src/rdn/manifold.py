@@ -33,10 +33,10 @@ Each spectral trial is formed and checked once: ``needs_dense`` forms the
 first representable trial of an iteration and keeps it on the line, and
 ``exp_map`` returns it for that step of the line instead of forming it
 again.
-Where the dense route's outcome is decided by rounding noise or by where its
-intermediates overflow (spreads lambda_min / lambda_max below 1e-13, or
-eigenvalues and coefficients beyond 1e100), ``needs_dense`` tells the solver
-to run that iteration on the dense route from a materialized point
+Where the dense route's outcome is decided by rounding noise (a spread
+lambda_min / lambda_max below 1e-13 at the iterate or at its first trial
+that can be formed), ``needs_dense`` tells the solver to run that
+iteration on the dense route from a materialized point
 (``to_dense``); the solver then returns to the spectral route on the new
 iterate's eigendecomposition (``to_spectral``, which keeps the matrix and
 the factorization the dense route cached, and whose ``to_dense`` hands the
@@ -89,17 +89,10 @@ __all__ = [
 # rounding.  Below a spread lambda_min / lambda_max of _HANDOVER_SPREAD,
 # Cholesky and eigh of the materialized matrix accept or reject it by rounding
 # noise (random n = 100 frames: 2 of 40 accepted at 1e-18, none at 1e-19), and
-# lyapunov_solve's singularity guard fires at a spread of 5e-15.  Outside
-# [1 / _HANDOVER_SCALE, _HANDOVER_SCALE] the dense route's cubes and inverse
-# squares of the eigenvalues leave the normal floating-point range (its
-# Newton right-hand side 2 (lambda^2 - (a/b) lambda^3) overflows at lambda
-# near 5.6e102, where the spectral coefficient lambda - (a/b) lambda^2 does
-# not).  An iteration whose iterate, direction or any trial point that
-# exp_map can form (finite, spread at least _ROUNDING_FLOOR) leaves these
-# bounds runs on the dense route instead (``needs_dense``).
+# lyapunov_solve's singularity guard fires at a spread of 5e-15.  An iteration
+# whose iterate, or first trial point that exp_map can form, has a spread
+# below it runs on the dense route instead (``needs_dense``).
 _HANDOVER_SPREAD = 1e-13
-_HANDOVER_SCALE = 1e100
-_COEFF_SQUARES_INSIDE = (0.5 * _HANDOVER_SCALE) ** 2
 # A spectral step below this spread, under the unit roundoff 2^-53, has no
 # positive definite matrix form; exp_map rejects it as unrepresentable.
 _ROUNDING_FLOOR = 1e-17
@@ -160,7 +153,7 @@ class SpdPoint:
     # _powers: P^t by exponent t, once formed; the dense and the spectral
     # form of one point share the dict.
     # _in_bounds: True only on a spectral step whose eigenvalues are the
-    # very array needs_dense found inside the hand-over bounds (Line._trial).
+    # very array needs_dense found at or above the hand-over spread (Line._trial).
     __slots__ = ("_matrix", "_eigen", "_values", "_basis", "_powers", "_in_bounds")
 
     def __init__(self, matrix: np.ndarray, *, eigen: EigenPair | None = None):
@@ -348,7 +341,7 @@ class Line:
     DimMismatch.
     """
 
-    # _trial: (t, eigenvalues) that needs_dense found inside the hand-over bounds.
+    # _trial: (t, eigenvalues) that needs_dense found at or above the hand-over spread.
     __slots__ = ("point", "direction", "_trial")
 
     def __init__(self, point: SpdPoint, direction: np.ndarray | SpectralTangent):
@@ -461,11 +454,7 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
         if kept is not None and kept[0] == t:
             return SpdPoint._from_spectrum(kept[1], None, p._basis, checked=True, in_bounds=True)
         values = _spectral_trial(p._values, v.coeffs, t)
-        # A spread of at least the floor also makes every value finite and
-        # positive: a nan fails the test, an infinite value gives a spread of
-        # 0 or nan, and an underflowed one a spread of 0.
-        low, high = _extremes(values)
-        if not low / high >= _ROUNDING_FLOOR:
+        if not _spread(values) >= _ROUNDING_FLOOR:
             raise StepOverflow("exponential-map result overflowed or rounded outside the cone")
         return SpdPoint._from_spectrum(values, None, p._basis, checked=True)
     step = _tangent_at(p, v if t == 1.0 else t * v)
@@ -490,60 +479,47 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
 def needs_dense(line: Line, steps: Iterable[float]) -> bool:
     """Whether an iteration along ``line`` belongs on the dense route.
 
-    True when the line's direction is a SpectralTangent and its point, the
-    coefficients of its direction or any representable trial exp_P(t V) for
-    t in ``steps`` leave the range in which the spectral route reproduces
-    the dense one: a spread lambda_min / lambda_max below 1e-13, or
-    eigenvalues or coefficients beyond 1e100 in magnitude (eigenvalues also
-    below 1e-100).  The solver then continues from ``line.point.to_dense()``.
-    A trial is representable if it is finite with a spread of at least the
-    rounding floor 1e-17; exp_map rejects any other as StepOverflow, so it
-    needs no hand-over and the line search backtracks past it (the paper's
-    step 2 skips a trial that cannot be formed).
+    True when the line's direction is a SpectralTangent and its point or its
+    first representable trial exp_P(t V), t in ``steps`` largest first, has
+    a spread lambda_min / lambda_max below 1e-13, where the dense route's
+    outcome is decided by rounding.  The solver then continues from
+    ``line.point.to_dense()``.  A trial is representable if its spread is at
+    least the rounding floor 1e-17; exp_map rejects any other as
+    StepOverflow, so it needs no hand-over and the line search backtracks
+    past it (the paper's step 2 skips a trial that cannot be formed).
 
-    Only the first representable trial, largest step first, is formed: the
-    log of a trial eigenvalue, log lambda + t c / lambda, is affine in t, so
-    the log-spread is concave and log lambda_max convex in t, and each
-    bound, like representability, holds on an interval of steps starting at
-    t = 0.  A trial inside the bounds therefore vouches for every smaller
-    step.  It is formed by exp_map's formula and kept on the line, which
-    returns it for ``exp_map(point, line, t)`` without forming it again.  A
-    point that is such a kept trial is not checked again.
+    Only that first representable trial is formed: the log of a trial
+    eigenvalue, log lambda + t c / lambda, is affine in t, so the log-spread
+    is concave in t, and the spread bound, like representability, holds on
+    an interval of steps starting at t = 0.  A trial at or above 1e-13
+    therefore vouches for every smaller step.  It is formed by exp_map's
+    formula and kept on the line, which returns it for
+    ``exp_map(point, line, t)`` without forming it again.  A point that is
+    such a kept trial is not checked again.
     """
     p, v = line.point, line.direction
     if not isinstance(v, SpectralTangent):
         return False
     values, c = p._values, v.coeffs
-    if not p._in_bounds and _outside_handover_range(values):
-        return True
-    # A sum of squares within (scale / 2)^2 bounds every |c_i| below the
-    # scale, rounding and all; only a larger or non-finite one needs the scan.
-    if not c.dot(c) <= _COEFF_SQUARES_INSIDE and np.abs(c).max() > _HANDOVER_SCALE:
+    if not (p._in_bounds or _spread(values) >= _HANDOVER_SPREAD):
         return True
     for t in steps:
         trial = _spectral_trial(values, c, t)
-        if _outside_handover_range(trial):
-            # A trial inside the bounds is finite; one outside them hands
-            # over only if exp_map would form it: its spread is at least the
-            # rounding floor, which a non-finite trial's never is.
-            low, high = _extremes(trial)
-            if low / high >= _ROUNDING_FLOOR:
-                return True
-            continue
-        line._trial = (t, trial)
-        return False
+        spread = _spread(trial)
+        if spread >= _HANDOVER_SPREAD:
+            line._trial = (t, trial)
+            return False
+        if spread >= _ROUNDING_FLOOR:
+            return True
     return False
 
 
-def _extremes(values: np.ndarray) -> tuple[np.float64, np.float64]:
-    """min and max of a 1-D array as numpy scalars, nan if an entry is nan; read
-    at argmin and argmax, which cost less than min() and max() on short arrays."""
-    return values[values.argmin()], values[values.argmax()]
-
-
-def _outside_handover_range(values: np.ndarray) -> bool:
-    low, high = _extremes(values)
-    return not (low / high >= _HANDOVER_SPREAD and low >= 1.0 / _HANDOVER_SCALE and high <= _HANDOVER_SCALE)
+def _spread(values: np.ndarray) -> np.float64:
+    """lambda_min / lambda_max, read at argmin and argmax, which cost less
+    than min() and max() on short arrays.  A spread of at least the rounding
+    floor makes every value finite and positive: a nan gives a nan spread,
+    an infinite value a spread of 0 or nan, and an underflowed one 0."""
+    return values[values.argmin()] / values[values.argmax()]
 
 
 def _scalar_coefficient(p: SpdPoint) -> float | None:

@@ -30,12 +30,12 @@ bound holds when no trial is rejected that way.
 The solver starts from the spectral form of P_0.  Problems whose field and
 Newton direction come back as SpectralTangents there (the shipped
 GradientField) run the same loop in O(n) per trial; others return matrices
-and continue on the dense route.  An iteration whose iterate, direction or
-representable trial points leave the range where the spectral route
-reproduces the dense one (manifold.needs_dense: spreads near the rounding
-floor, magnitudes near overflow) runs on the dense route instead, from the
-materialized iterate, so statuses and counters match it; a trial that cannot
-be formed at all is backtracked past on either route.  Each iteration
+and continue on the dense route.  An iteration whose iterate or first
+representable trial point has a spread near the rounding floor, where the
+dense route's outcome is decided by rounding (manifold.needs_dense), runs on
+the dense route instead, from the materialized iterate, so statuses and
+counters match it; a trial that cannot be formed at all is backtracked past
+on either route.  Each iteration
 searches along one manifold.Line, which keeps the trial that check forms for
 the full step or the line search; every trial is one exp_map(p, line, t)
 call.  Once a dense iteration commits its step, the run returns to the
@@ -149,11 +149,14 @@ class SolveTrace:
     nit == len(records) == he; ge >= nit.  For damped runs the recorded
     merits decrease strictly, and final_merit lies below the last one,
     wherever each recorded 0.5 ||X||^2 agrees with the merit the Armijo test
-    accepted.  They need not where the dense route forms the field from
-    subnormal products, as for f2 at ratios above about 1e155, where the
-    recorded 0.5 ||X||^2 differs from ``merit_value`` of the same iterate by
-    a factor of 2-9: ``f2 --ratio 1e160 --dim 3 --method damped --seed 0``
-    records 139 of its 500 merits at or above the one before.
+    accepted.  They need not where the field is formed from subnormal
+    products, as for f2 at ratios above about 1e155, whose spectral field
+    a lambda - b lambda^2 forms a subnormal lambda^2 near the minimizer:
+    ``f2 --ratio 1e160 --dim 3 --method damped --seed 0`` records merits up
+    to about 7.5e21 times ``merit_value`` of the same iterate, then reaches
+    (a/b) I at k = 376, where ``merit_value`` reads 0 and the recorded
+    merit 1.9e-10, and repeats it to max_iters; 138 of its 500 records are
+    not below the one before.
     """
 
     records: tuple[IterationRecord, ...]

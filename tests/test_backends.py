@@ -190,17 +190,20 @@ def test_rounding_floor_cell_hands_over_and_agrees():
     assert _mismatches(spec, spectral, dense) == []
 
 
-def test_overflow_regime_hands_over_and_agrees():
+def test_overflow_regime_stays_spectral():
     # The merit overflows from the start, so every full step passes the
-    # Armijo test until the dense Newton right-hand side, cubic in lambda,
-    # overflows near lambda = 5.6e102; the spectral coefficient would not
-    # overflow until about 1e154.
+    # Armijo test.  The dense Newton right-hand side, cubic in lambda,
+    # overflows near lambda = 5.6e102; the spectral coefficient
+    # lambda - (a/b) lambda^2 does not until about 1.3e154, and the run stays
+    # spectral until then.  The two routes take the same steps while both
+    # run.
     spec = ExperimentSpec(Family.F1, 1e300, 10, Method.DAMPED, seed=1)
-    spectral, dense, handed_over = _both(spec)
-    assert handed_over
-    assert _mismatches(spec, spectral, dense) == []
-    trace = spectral[1]
-    assert (trace.status, trace.nit, trace.ge) == (Status.STEP_OVERFLOW, 235, 470)
+    (_, spectral), (_, dense), handed_over = _both(spec)
+    assert not handed_over
+    assert (spectral.status, spectral.nit, spectral.ge) == (Status.STEP_OVERFLOW, 353, 706)
+    assert (dense.status, dense.nit, dense.ge) == (Status.STEP_OVERFLOW, 235, 470)
+    steps = lambda trace: [(r.alpha, r.backtracks, r.direction_kind) for r in trace.records[:235]]
+    assert steps(spectral) == steps(dense)
 
 
 def test_problems_returning_matrices_stay_dense():

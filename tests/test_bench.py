@@ -283,8 +283,9 @@ def test_ill_conditioned_starts_converge():
 @pytest.mark.parametrize(
     "family, ratio, dim, method, seed, nit, ge",
     [
-        # the field a P - b I is finite; norm's P^{-1/2} V P^{-1/2} overflows
-        (Family.F1, 9.61739821402542e307, 2, Method.DAMPED, 352551, 236, 472),
+        # spectral throughout: the Newton coefficient lambda - (a/b) lambda^2
+        # overflows near lambda = 1.3e154 (exact arithmetic: max_iters 500/1000)
+        (Family.F1, 9.61739821402542e307, 2, Method.DAMPED, 352551, 354, 708),
         # lyapunov_solve's products and a matrix function's symmetrize
         (Family.F2, 1.6424888986677155e-307, 7, Method.FULL, 622075, 0, 0),
         # distance's eigenvalue ratios
@@ -292,8 +293,8 @@ def test_ill_conditioned_starts_converge():
     ],
 )
 def test_ratios_near_the_float_range_end_without_warnings(family, ratio, dim, method, seed, nit, ge):
-    # The dense route's intermediates overflow here; the finiteness checks
-    # report it as a status, and numpy prints nothing.
+    # Intermediates overflow here; the finiteness checks report it as a
+    # status, and numpy prints nothing.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = run_experiment(ExperimentSpec(family, ratio, dim, method, seed))
@@ -303,9 +304,19 @@ def test_ratios_near_the_float_range_end_without_warnings(family, ratio, dim, me
 def test_minimizer_past_half_the_float_maximum_gives_a_finite_distance():
     # The minimizer c I, c = 9.6e307, is built without forming c + c.
     result = run_experiment(ExperimentSpec(Family.F1, 9.61739821402542e307, 2, Method.DAMPED, 352551))
-    assert (result.status, result.nit, result.ge) == (Status.STEP_OVERFLOW.value, 236, 472)
+    assert (result.status, result.nit, result.ge) == (Status.STEP_OVERFLOW.value, 354, 708)
     assert math.isfinite(result.final_dist_to_star)
-    assert result.final_dist_to_star == pytest.approx(667.0, rel=1e-3)
+    assert result.final_dist_to_star == pytest.approx(500.1, rel=1e-3)
+
+
+def test_an_overflowing_newton_coefficient_ends_in_step_overflow_with_a_finite_norm():
+    # The run stays spectral until its Newton coefficient lambda - (a/b)
+    # lambda^2 overflows near lambda = 1.3e154; the field it last formed, and
+    # so its norm, is finite.
+    result = run_experiment(ExperimentSpec(Family.F1, 1e308, 3, Method.DAMPED, 0))
+    assert (result.status, result.nit, result.ge) == (Status.STEP_OVERFLOW.value, 353, 706)
+    assert math.isfinite(result.final_grad_norm)
+    assert result.final_grad_norm == pytest.approx(3.96e154, rel=1e-3)
 
 
 def test_narrow_n1000_run_holds_few_matrices():
@@ -327,7 +338,7 @@ def test_ratios_near_the_float_range_end_without_warnings_on_two_threads():
     # The cells above, split over two threads: each thread's runs set their
     # own error state.
     cells = [
-        (ExperimentSpec(Family.F1, 9.61739821402542e307, 2, Method.DAMPED, 352551), 236, 472),
+        (ExperimentSpec(Family.F1, 9.61739821402542e307, 2, Method.DAMPED, 352551), 354, 708),
         (ExperimentSpec(Family.F2, 1.6424888986677155e-307, 7, Method.FULL, 622075), 0, 0),
         (ExperimentSpec(Family.F1, 1.5787476153139683e-308, 9, Method.FULL, 963496), 0, 0),
     ]

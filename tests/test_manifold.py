@@ -518,13 +518,17 @@ class TestSpectralSeam:
         p = SpdPoint.from_frame(np.ones(2), np.eye(2))
         assert not needs_dense(Line(p, SpectralTangent(np.array([800.0, 0.0]))), np.array([1.0]))
 
-    def test_hand_over_at_extreme_magnitudes(self):
+    def test_no_hand_over_at_extreme_magnitudes(self):
+        # Only the spread decides: eigenvalues and coefficients beyond 1e+-100
+        # stay spectral, and a spread below 1e-13 hands over at any magnitude.
         still = SpectralTangent(np.zeros(2))
         for values in ([1e101, 2e101], [1e-101, 2e-101]):
-            assert needs_dense(Line(SpdPoint.from_frame(np.array(values), np.eye(2)), still), np.ones(1))
+            assert not needs_dense(Line(SpdPoint.from_frame(np.array(values), np.eye(2)), still), np.ones(1))
+        narrow = SpdPoint.from_frame(np.array([1e187, 1e201]), np.eye(2))
+        assert needs_dense(Line(narrow, still), np.ones(1))
         p = SpdPoint.from_frame(np.array([1.0, 2.0]), np.eye(2))
-        assert needs_dense(Line(p, SpectralTangent(np.array([0.0, 1e101]))), np.array([2.0**-400]))
-        assert needs_dense(Line(p, SpectralTangent(np.array([240.0, 480.0]))), np.ones(1))  # trial 1.7e104
+        assert not needs_dense(Line(p, SpectralTangent(np.array([0.0, 1e101]))), np.array([2.0**-400]))
+        assert not needs_dense(Line(p, SpectralTangent(np.array([240.0, 480.0]))), np.ones(1))  # trial 1.7e104
         assert not needs_dense(Line(p, SpectralTangent(np.array([200.0, 400.0]))), np.ones(1))
 
     def test_dense_and_spectral_forms_agree(self):
@@ -596,7 +600,7 @@ class TestSharedTrial:
 
     def test_overflowing_larger_steps_still_raise(self, monkeypatch):
         # The full step overflows in e^800; the half step 1e-90 e^400 = 5e83
-        # lies inside the hand-over bounds.
+        # can be formed, with the spread 1 / e^400 of the start.
         values = np.array([1e-90, 2e-90])
         p = SpdPoint.from_frame(values, np.eye(2))
         v = SpectralTangent(800.0 * values)
@@ -621,15 +625,15 @@ class TestSharedTrial:
     def test_checked_trial_is_not_checked_again_as_the_next_iterate(self, monkeypatch):
         p, v, line = self._setup()
         assert not needs_dense(line, np.ones(1))
-        q = exp_map(p, line)
-        ranges = []
-        check = manifold._outside_handover_range
-        monkeypatch.setattr(manifold, "_outside_handover_range", lambda x: ranges.append(x) or check(x))
+        q, fresh = exp_map(p, line), _fresh(p, v)
+        spreads = []
+        check = manifold._spread
+        monkeypatch.setattr(manifold, "_spread", lambda x: spreads.append(x) or check(x))
         assert not needs_dense(Line(q, SpectralTangent(np.zeros(6))), np.ones(1))
-        assert len(ranges) == 1 and ranges[0] is not q.spectrum  # only the new trial
-        ranges.clear()
-        assert not needs_dense(Line(_fresh(p, v), SpectralTangent(np.zeros(6))), np.ones(1))
-        assert len(ranges) == 2  # the iterate and the trial
+        assert len(spreads) == 1 and spreads[0] is not q.spectrum  # only the new trial
+        spreads.clear()
+        assert not needs_dense(Line(fresh, SpectralTangent(np.zeros(6))), np.ones(1))
+        assert len(spreads) == 2  # the iterate and the trial
 
 
 def test_line_steps_at_another_point_raise():
@@ -656,25 +660,21 @@ def _needs_dense_by_scan(p, v, steps):
     trial.  A trial that is not finite, or whose spread lies below the 1e-17
     rounding floor, is rejected by exp_map and hands nothing over."""
     values = p.spectrum
-    if np.max(np.abs(v.coeffs)) > 1e100:
-        return True
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         trials = values * np.exp(np.multiply.outer(steps, v.coeffs) / values)
         points = np.vstack([values, trials])
         low, high = points.min(axis=1), points.max(axis=1)
-        inside = (low / high >= 1e-13) & (low >= 1e-100) & (high <= 1e100)
+        inside = low / high >= 1e-13
         representable = np.all(np.isfinite(points), axis=1) & (low / high >= 1e-17)
     representable[0] = True  # the iterate itself is a point
     return bool(np.any(representable & ~inside))
 
 
 def _near_a_bound(values, ulps=64):
-    """Whether the spread, the least or the greatest eigenvalue lies within
-    ``ulps`` units in the last place of its hand-over bound or of the
-    rounding floor."""
-    low, high = np.min(values), np.max(values)
-    pairs = ((low / high, 1e-13), (low / high, 1e-17), (low, 1e-100), (high, 1e100))
-    return any(abs(x / bound - 1.0) <= ulps * 2.0**-52 for x, bound in pairs)
+    """Whether the spread lies within ``ulps`` units in the last place of the
+    hand-over spread or of the rounding floor."""
+    spread = np.min(values) / np.max(values)
+    return any(abs(spread / bound - 1.0) <= ulps * 2.0**-52 for bound in (1e-13, 1e-17))
 
 
 @st.composite
@@ -704,7 +704,7 @@ def test_needs_dense_agrees_with_the_scan_of_every_trial(case, aim):
     if aim and scan(1.0) and not scan(0.0):
         # Bisect the direction's length over the bit patterns of [0, 1] down to
         # two adjacent floats on which the scan's answer flips: there the
-        # deciding trial or coefficient sits within rounding of its bound.
+        # deciding trial sits within rounding of its bound.
         lo, hi = 0, int(np.float64(1.0).view(np.int64))
         while hi - lo > 1:
             mid = (lo + hi) // 2
@@ -713,18 +713,18 @@ def test_needs_dense_agrees_with_the_scan_of_every_trial(case, aim):
     for scale in scales:
         got, want = needs_dense(Line(p, SpectralTangent(scale * coeffs)), _TRIAL_STEPS), scan(scale)
         # needs_dense reads a subset of the scan's rows, so it never hands over
-        # where the scan does not.  The converse rests on each bound holding on
-        # an interval of steps from t = 0, which rounding can break only by an
-        # ulp or two: an iterate lying on a bound, such as the spread 1e-13 of
-        # [1, 1e13], may have smaller trials that rounding puts across it.
+        # where the scan does not.  The converse rests on each spread bound
+        # holding on an interval of steps from t = 0, which rounding can break
+        # only by an ulp or two: an iterate lying on a bound, such as the
+        # spread 1e-13 of [1, 1e13], may have smaller trials that rounding
+        # puts across it.
         assert want or not got
         if not _near_a_bound(values):
             assert got == want, (values, scale * coeffs)
 
 
-_ULP_NEIGHBOURS = [x for b in (0.5e100, 1e100) for x in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))]
 _HOSTILE_ENTRIES = st.one_of(
-    st.sampled_from([np.nan, np.inf, 5e-324, 1e-310, 2.0**-1022, 1e200, 1.7e308, *_ULP_NEIGHBOURS]),
+    st.sampled_from([np.nan, np.inf, 5e-324, 1e-310, 2.0**-1022, 1e200, 1.7e308]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
 
@@ -732,12 +732,10 @@ _HOSTILE_ENTRIES = st.one_of(
 @given(st.lists(st.tuples(_HOSTILE_ENTRIES, st.booleans()), min_size=1, max_size=12))
 @settings(deadline=None, max_examples=300)
 def test_certificates_decide_as_the_scans_they_replace(entries):
-    # The spectral checks try a sum of squares or the range test first and
+    # The spectral checks try a sum of squares or the spread test first and
     # scan only where that does not decide; each must answer as the scan.
     x = np.array([-e if negate else e for e, negate in entries])
-    finite, beyond = bool(np.isfinite(x).all()), bool(np.abs(x).max() > 1e100)
-    unit = SpdPoint.from_frame(np.ones(x.size), np.eye(x.size))
-    assert needs_dense(Line(unit, SpectralTangent(x)), np.empty(0)) == beyond
+    finite = bool(np.isfinite(x).all())
     # The two private checks run inside quiet callers in the solver.
     with np.errstate(all="ignore"):
         try:
@@ -745,14 +743,13 @@ def test_certificates_decide_as_the_scans_they_replace(entries):
             spectral_finite = True
         except SpectrumDomainError:
             spectral_finite = False
-        # A trial inside the hand-over bounds is finite.
-        assert manifold._outside_handover_range(x) or finite
+        # A trial, never negative, at or above the hand-over spread is finite.
+        assert not manifold._spread(np.abs(x)) >= 1e-13 or finite
     assert spectral_finite == finite
 
 
-_BOUND_NEIGHBOURS = [x for b in (1e-100, 0.5e100, 1e100) for x in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))]
 _NEAR_BOUNDS = st.one_of(
-    st.sampled_from([np.nan, np.inf, 0.0, 5e-324, 1e-310, 2.0**-1022, 1e155, 1e200, 1.7e308, *_BOUND_NEIGHBOURS]),
+    st.sampled_from([np.nan, np.inf, 0.0, 5e-324, 1e-310, 2.0**-1022, 1e155, 1e200, 1.7e308]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
 
@@ -773,21 +770,17 @@ def _same_value(a, b):
 @settings(deadline=None, max_examples=300)
 def test_fast_forms_keep_the_bits_of_the_forms_they_replace(entries, size, family):
     # A spectral iteration reads sums of squares with ndarray.dot, sums with
-    # ufunc.reduce, extremes at argmin/argmax, and the norm's plain sum of
+    # ufunc.reduce, spreads at argmin/argmax, and the norm's plain sum of
     # squares without _frobenius.  Each gives the form it replaced: the same
     # bits where it feeds a value, the same decision where it feeds a test.
     x = np.resize(np.array([-e if negate else e for e, negate in entries]), size)
     positive = np.abs(x[np.isfinite(x) & (x != 0.0)])
     with np.errstate(all="ignore"):
         assert _same_bits(x.dot(x), x @ x)
-        low, high = manifold._extremes(x)
-        assert _same_value(low, x.min()) and _same_value(high, x.max())
-        scanned = not (x.min() / x.max() >= 1e-13 and x.min() >= 1e-100 and x.max() <= 1e100)
-        assert manifold._outside_handover_range(x) == scanned
+        assert _same_value(manifold._spread(x), x.min() / x.max())
         # exp_map's spread test, on the non-negative values a trial can hold.
         mags = np.abs(x)
-        low, high = manifold._extremes(mags)
-        assert (low / high >= 1e-17) == (mags.min() / mags.max() >= 1e-17)
+        assert (manifold._spread(mags) >= 1e-17) == (mags.min() / mags.max() >= 1e-17)
         if positive.size:
             values = np.resize(positive, size)
             p = SpdPoint.from_frame(values, np.eye(size))
