@@ -75,7 +75,9 @@ class ExperimentSpec:
             raise ValueError(f"ratio must be finite and positive, got {self.ratio}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        # Every run forms the n x n minimizer.
+        # A run that stays spectral forms no n x n array, but one that hands
+        # over to the dense route draws the start's n x n basis and factors
+        # n x n matrices.
         if 8 * int(self.dim) ** 2 > _physical_memory():
             raise ValueError(f"dim {self.dim} needs an n x n float64 matrix larger than physical memory")
         if self.seed < 0:

@@ -42,7 +42,9 @@ iterate's eigendecomposition (``to_spectral``, which keeps the matrix and
 the factorization the dense route cached, and whose ``to_dense`` hands the
 same arrays back).  A trial that ``exp_map`` rejects as unrepresentable (not
 finite, or a spread below the 1e-17 rounding floor) hands nothing over: the
-line search backtracks past it on the spectral route.
+line search backtracks past it on the spectral route.  A trial eigenvalue
+lambda e^{t c / lambda} is unrepresentable only where it leaves the float
+range itself, not where its factor e^{t c / lambda} alone does.
 
 Lazy bases.  ``random_spd`` draws the spectrum at once but the basis (a QR
 factorization) only when something reads it.  Its factorization is an
@@ -52,7 +54,9 @@ a spectral point's ``frame`` draw it, ``eigen.values`` does not.  The hot
 paths read eigenvalues through ``spectrum`` and test for the spectral form
 with ``spectral``, neither of which draws it, so a run that stays spectral
 factorizes nothing.  ``identity_eigen`` holds the identity basis of a
-diagonal matrix, such as the minimizer c I, the same way.
+diagonal matrix the same way and forms the matrix as diag(values), so a
+point built on it from its spectrum alone, such as the minimizer c I, forms
+no n x n array unless its basis or its matrix is read.
 """
 
 from __future__ import annotations
@@ -363,9 +367,22 @@ def _frame_values(p: SpdPoint, v: SpectralTangent) -> np.ndarray:
     return values
 
 
-def _spectral_trial(values: np.ndarray, coeffs: np.ndarray, t: float) -> np.ndarray:
-    """lambda e^{t c / lambda}: exp_P(t V) in the frame, for every spectral step and trial."""
-    return values * np.exp((coeffs if t == 1.0 else t * coeffs) / values)
+def _spectral_trial(values: np.ndarray, coeffs: np.ndarray, t: float) -> tuple[np.ndarray, np.float64]:
+    """lambda e^{t c / lambda}, exp_P(t V) in the frame, and its spread, for
+    every spectral step and trial.  A trial whose spread is below the rounding
+    floor forms again, as e^{log lambda + t c / lambda}, each entry whose
+    factor e^{t c / lambda} overflowed or fell below the normal range, where
+    the product itself may fit; no other trial changes by a bit."""
+    x = (coeffs if t == 1.0 else t * coeffs) / values
+    e = np.exp(x)
+    trial = values * e
+    spread = _spread(trial)
+    if not spread >= _ROUNDING_FLOOR:
+        off = (e < _TINY) | (e == math.inf)
+        if off.any():
+            trial = np.where(off, np.exp(np.log(values) + x), trial)
+            spread = _spread(trial)
+    return trial, spread
 
 
 def _tangent_at(p: SpdPoint, v: np.ndarray) -> np.ndarray:
@@ -453,8 +470,8 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
         kept = line._trial
         if kept is not None and kept[0] == t:
             return SpdPoint._from_spectrum(kept[1], None, p._basis, checked=True, in_bounds=True)
-        values = _spectral_trial(p._values, v.coeffs, t)
-        if not _spread(values) >= _ROUNDING_FLOOR:
+        values, spread = _spectral_trial(p._values, v.coeffs, t)
+        if not spread >= _ROUNDING_FLOOR:
             raise StepOverflow("exponential-map result overflowed or rounded outside the cone")
         return SpdPoint._from_spectrum(values, None, p._basis, checked=True)
     step = _tangent_at(p, v if t == 1.0 else t * v)
@@ -504,8 +521,7 @@ def needs_dense(line: Line, steps: Iterable[float]) -> bool:
     if not (p._in_bounds or _spread(values) >= _HANDOVER_SPREAD):
         return True
     for t in steps:
-        trial = _spectral_trial(values, c, t)
-        spread = _spread(trial)
+        trial, spread = _spectral_trial(values, c, t)
         if spread >= _HANDOVER_SPREAD:
             line._trial = (t, trial)
             return False
@@ -515,7 +531,8 @@ def needs_dense(line: Line, steps: Iterable[float]) -> bool:
 
 
 def _spread(values: np.ndarray) -> np.float64:
-    """lambda_min / lambda_max, read at argmin and argmax, which cost less
+    """lambda_min / lambda_max of non-negative values (eigenvalues and
+    trials, never below +0), read at argmin and argmax, which cost less
     than min() and max() on short arrays.  A spread of at least the rounding
     floor makes every value finite and positive: a nan gives a nan spread,
     an infinite value a spread of 0 or nan, and an underflowed one 0."""
@@ -568,10 +585,18 @@ def distance(a: SpdPoint, b: SpdPoint) -> float:
     return float(np.linalg.norm(np.log(pair.values)))
 
 
+class _DiagonalPair(_LazyPair):
+    """A _LazyPair (values, I) whose matrix is diag(values) itself."""
+
+    def reconstruct(self) -> np.ndarray:
+        return np.diag(self.values)
+
+
 def identity_eigen(values: np.ndarray) -> EigenPair:
     """The factorization (values, I) of diag(values), ``values`` ascending,
-    whose identity basis is formed only when first read."""
-    return _LazyPair(values, lambda: np.eye(values.shape[0]))
+    whose identity basis is formed only when first read; a point on it forms
+    its matrix as diag(values), with no basis and no product."""
+    return _DiagonalPair(values, lambda: np.eye(values.shape[0]))
 
 
 def random_spd(dim: int, eig_low: float, eig_high: float, seed: int) -> SpdPoint:

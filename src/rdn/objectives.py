@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import SpectrumDomainError
+from .errors import DimMismatch, SpectrumDomainError
 from .linalg import lyapunov_solve, mat_func, quiet, symmetrize
 from .manifold import SpdPoint, SpectralTangent, identity_eigen
 
@@ -180,11 +180,14 @@ def merit_gradient(obj: Objective, p: SpdPoint) -> np.ndarray:
 def minimizer(obj: Objective, dim: int) -> SpdPoint:
     """The global minimizer: (b/a) I for family one, (a/b) I for family two.
 
-    Held in spectral form on the identity basis, which is formed only if
-    read, so ``distance`` reads it as c I off its spectrum."""
+    Built from its spectrum alone, in spectral form on the identity basis:
+    ``distance`` reads it as c I off its spectrum, and neither the basis nor
+    the matrix diag(c, ..., c) is formed unless read."""
+    if dim < 1:
+        raise DimMismatch(f"a point needs dimension n >= 1, got {dim}")
     c = obj.b / obj.a if obj.family is Family.F1 else obj.a / obj.b
-    values = np.full(dim, c)
-    return SpdPoint(np.diag(values), eigen=identity_eigen(values)).to_spectral()
+    pair = identity_eigen(np.full(dim, c))
+    return SpdPoint._from_spectrum(pair.values, pair, pair)
 
 
 def _spectral(coeffs: np.ndarray) -> SpectralTangent:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rdn import linalg, manifold, objectives
 from rdn.bench import (
     RESULT_HEADER,
     TRACE_HEADER,
@@ -320,9 +321,9 @@ def test_an_overflowing_newton_coefficient_ends_in_step_overflow_with_a_finite_n
 
 
 def test_narrow_n1000_run_holds_few_matrices():
-    # A run that stays spectral holds no n x n array but the minimizer's
-    # and the one symmetrize makes of it: 2.13 n^2 doubles with the
-    # finiteness mask.  One more n x n temporary reads 3.13.
+    # A run that stays spectral, with the minimizer built from its
+    # spectrum, holds no n x n array: its peak is a few arrays of n values,
+    # 0.01 n^2 doubles.  One n x n array reads 1.
     n = 1000
     tracemalloc.start()
     try:
@@ -331,7 +332,34 @@ def test_narrow_n1000_run_holds_few_matrices():
     finally:
         tracemalloc.stop()
     assert result.status == Status.CONVERGED.value
-    assert peak < 2.5 * n * n * 8
+    assert peak < 0.5 * n * n * 8
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("family, ratio", [(Family.F1, 1.0), (Family.F2, 0.01)])
+def test_narrow_n1000_run_forms_no_matrix(monkeypatch, family, ratio):
+    # Neither the run nor its distance to the minimizer c I forms an n x n
+    # array; c I still reads as a matrix, bit for bit, when asked.
+    n, calls = 1000, Counter()
+    monkeypatch.setattr(np, "diag", _counting(calls, "diag", np.diag))
+    monkeypatch.setattr(np, "eye", _counting(calls, "eye", np.eye))
+    symmetrize = _counting(calls, "symmetrize", linalg.symmetrize)
+    for module in (linalg, manifold, objectives):
+        monkeypatch.setattr(module, "symmetrize", symmetrize)
+    result = run_experiment(spec(family=family, ratio=ratio, dim=n, seed=50))
+    assert result.status == Status.CONVERGED.value
+    assert calls == Counter()
+    monkeypatch.undo()
+    c = ratio if family is Family.F1 else 1.0 / ratio
+    star = objectives.minimizer(spec(family=family, ratio=ratio).objective(), n)
+    assert star.matrix.tobytes() == (c * np.eye(n)).tobytes()
 
 
 def test_ratios_near_the_float_range_end_without_warnings_on_two_threads():

@@ -182,8 +182,9 @@ def test_out_and_trace_naming_one_file_is_a_usage_error(trace_name, tmp_path, mo
 
 
 def test_dim_is_bounded_by_physical_memory(monkeypatch, capsys):
-    # Every run forms the n x n minimizer, so the bound is an n x n float64
-    # matrix; here memory holds exactly the 50 x 50 one.  Nothing is run.
+    # A run that hands over to the dense route forms n x n matrices, so the
+    # bound is an n x n float64 matrix; here memory holds exactly the
+    # 50 x 50 one.  Nothing is run.
     monkeypatch.setattr("rdn.bench._physical_memory", lambda: 8 * 50 * 50)
     monkeypatch.setattr("rdn.cli.run_grid", lambda *args, **kwargs: pytest.fail("ran the grid"))
     assert ExperimentSpec(Family.F1, 1.0, 50, Method.DAMPED, 0).dim == 50

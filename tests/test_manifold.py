@@ -486,6 +486,25 @@ class TestSpectralSeam:
             exp_map(p, SpectralTangent(np.array([800.0, 800.0])))
         assert exp_map(p, SpectralTangent(np.array([0.0, -30.0]))).frame is not None
 
+    @pytest.mark.parametrize(
+        "value, coeff, want",
+        [
+            (0.5, 355.0, 1.116997383080855515626822229e308),  # 0.5 e^710: e^710 overflows
+            (1e300, -750e300, 1.901684963475222736392809558e-26),  # 1e300 e^-750: e^-750 underflows
+        ],
+    )
+    def test_a_trial_that_fits_is_formed_where_its_exponential_does_not(self, value, coeff, want):
+        # lambda e^{c / lambda} in exact arithmetic (c / lambda rounds to
+        # 710 and -749.9999999999999); exp_map and the hand-over test form the
+        # same trial, and the line returns the one needs_dense kept.
+        p = SpdPoint.from_frame(np.array([value]), np.eye(1))
+        v = SpectralTangent(np.array([coeff]))
+        got = exp_map(p, v).spectrum
+        assert got[0] == pytest.approx(want, rel=1e-12)
+        line = Line(p, v)
+        assert not needs_dense(line, np.array([1.0]))
+        assert np.array_equal(exp_map(p, line).spectrum, got)
+
     def test_hand_over_near_the_rounding_floor(self):
         p = SpdPoint.from_frame(np.ones(2), np.eye(2))
         v = SpectralTangent(np.array([0.0, np.log(1e-15)]))
@@ -599,20 +618,23 @@ class TestSharedTrial:
         assert len(calls) == 2 * len(others)  # each formed its own, as _fresh did
 
     def test_overflowing_larger_steps_still_raise(self, monkeypatch):
-        # The full step overflows in e^800; the half step 1e-90 e^400 = 5e83
-        # can be formed, with the spread 1 / e^400 of the start.
+        # The full and the half step overflow, in exact arithmetic too:
+        # 1e-90 e^2000 and 1e-90 e^1000 exceed the float maximum.  The
+        # quarter step 1e-90 e^500 = 1.4e127 can be formed, with the spread
+        # 1/2 of the start.
         values = np.array([1e-90, 2e-90])
         p = SpdPoint.from_frame(values, np.eye(2))
-        v = SpectralTangent(800.0 * values)
+        v = SpectralTangent(2000.0 * values)
         line = Line(p, v)
         assert not needs_dense(line, np.array([1.0, 0.5, 0.25]))
         calls = _counting_exp(monkeypatch)
-        with pytest.raises(StepOverflow):
-            exp_map(p, line, 1.0)
-        assert len(calls) == 1
-        half = exp_map(p, line, 0.5)
-        assert len(calls) == 1
-        assert np.array_equal(half.spectrum, _fresh(p, 0.5 * v).spectrum)
+        for t in (1.0, 0.5):
+            with pytest.raises(StepOverflow):
+                exp_map(p, line, t)
+        assert len(calls) == 4  # each formed e^{t c / lambda}, then e^{log lambda + t c / lambda}
+        quarter = exp_map(p, line, 0.25)
+        assert len(calls) == 4
+        assert np.array_equal(quarter.spectrum, _fresh(p, 0.25 * v).spectrum)
 
     def test_no_trial_is_kept_where_the_iteration_hands_over(self, monkeypatch):
         p = SpdPoint.from_frame(np.ones(2), np.eye(2))
@@ -777,9 +799,11 @@ def test_fast_forms_keep_the_bits_of_the_forms_they_replace(entries, size, famil
     positive = np.abs(x[np.isfinite(x) & (x != 0.0)])
     with np.errstate(all="ignore"):
         assert _same_bits(x.dot(x), x @ x)
-        assert _same_value(manifold._spread(x), x.min() / x.max())
-        # exp_map's spread test, on the non-negative values a trial can hold.
+        # Spreads are read off eigenvalues and trials, which are never below
+        # +0: on signed zeros argmax and max() may pick different ones.
         mags = np.abs(x)
+        assert _same_value(manifold._spread(mags), mags.min() / mags.max())
+        # exp_map's spread test.
         assert (manifold._spread(mags) >= 1e-17) == (mags.min() / mags.max() >= 1e-17)
         if positive.size:
             values = np.resize(positive, size)

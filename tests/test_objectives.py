@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rdn.errors import DimMismatch
 from rdn.linalg import symmetrize
 from rdn.manifold import SpdPoint, exp_map, inner, norm, random_spd
 from rdn.objectives import (
@@ -265,6 +266,13 @@ class TestMinimizer:
         # c + c overflows; the point still holds c I, bit for bit.
         star = minimizer(Objective(F1, 1.0, 1.5e308), 3)
         assert _bits(star.matrix) == _bits(1.5e308 * np.eye(3))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_minimizer_rejects_a_dimension_below_one(n):
+    # Built from its spectrum, the minimizer checks n itself, as SpdPoint does.
+    with pytest.raises(DimMismatch):
+        minimizer(Objective(F1, 1.0, 0.1), n)
 
 
 class TestDerivativeChecks:
