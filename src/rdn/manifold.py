@@ -372,7 +372,8 @@ def _spectral_trial(values: np.ndarray, coeffs: np.ndarray, t: float) -> tuple[n
     every spectral step and trial.  A trial whose spread is below the rounding
     floor forms again, as e^{log lambda + t c / lambda}, each entry whose
     factor e^{t c / lambda} overflowed or fell below the normal range, where
-    the product itself may fit; no other trial changes by a bit."""
+    the product itself may fit; no other trial changes by a bit.  A subnormal
+    factor in a trial that passes the spread test keeps its lost bits."""
     x = (coeffs if t == 1.0 else t * coeffs) / values
     e = np.exp(x)
     trial = values * e
