@@ -19,6 +19,10 @@ the runs (a full disk).
 The CSV keeps its wall-clock column at 0.0 unless --wall-times is given, so
 identical invocations produce byte-identical files; measured times are always
 printed in the per-run summary.
+
+The argument parser is built once per process, when this module is imported;
+``main`` keeps no other state between calls, so it may be called repeatedly
+and from several threads in one process.
 """
 
 from __future__ import annotations
@@ -80,8 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing reads the parser and does not change it, so one serves every call.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
 
     if args.table1 and args.trace:

@@ -1,7 +1,10 @@
+import argparse
 import math
 import os
+import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -254,6 +257,84 @@ def test_parser_defaults_are_the_dataclasses_defaults():
     config = SolverConfig()
     assert (args.sigma, args.tol, args.max_iters) == (config.sigma, config.grad_tol, config.max_iters)
     assert args.init_range == ExperimentSpec(Family.F1, 1.0, 1, Method.DAMPED, 0).init_eig_range
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The ArgumentParsers constructed while the test runs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_calls_share_one_parser_and_leave_it_unchanged(tmp_path, parsers_built):
+    # The parser is built at import; a usage error or a grid with its own
+    # --seed must not change what the next call parses.
+    default_run = [*SINGLE_RUN, "--out"]
+    first, third = tmp_path / "first.csv", tmp_path / "third.csv"
+    assert main([*default_run, str(first)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*SINGLE_RUN, "--sigma", "0.7"])
+    assert exc.value.code == 2
+    assert main(["--table1", "--max-dim", "1", "--seed", "5", "--out", str(tmp_path / "grid.csv"), "--quiet"]) in (0, 1)
+    assert main([*default_run, str(third)]) == 0
+    assert parsers_built == []
+    assert third.read_bytes() == first.read_bytes()
+
+
+def test_concurrent_calls_write_the_csvs_of_sequential_ones(tmp_path, parsers_built):
+    def argv(i, name):
+        return ["--table1", "--max-dim", "100", "--seed", str(i), "--out", str(tmp_path / name), "--quiet"]
+
+    seeds = range(4)
+    for i in seeds:
+        main(argv(i, f"seq{i}.csv"))
+    start, errors = threading.Barrier(len(seeds)), []
+
+    def call(i):
+        try:
+            start.wait(timeout=60)
+            main(argv(i, f"par{i}.csv"))
+        except BaseException as err:  # SystemExit too: report it, do not lose it
+            errors.append(err)
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert parsers_built == []
+    for i in seeds:
+        assert (tmp_path / f"par{i}.csv").read_bytes() == (tmp_path / f"seq{i}.csv").read_bytes()
+
+
+def test_help_lists_every_flag_of_the_readme():
+    # argparse fills the %-placeholders of help strings only when it formats
+    # help, so building the parser at import does not check them.
+    root = Path(rdn.__file__).resolve().parents[2]
+    flags_line = re.search(r"^Flags: `(.*?)`", (root / "README.md").read_text(), re.M | re.S).group(1)
+    readme_flags = set(re.findall(r"--[a-z0-9-]+", flags_line))
+    src = str(Path(rdn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdn.cli", "--help"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: rdn-bench")
+    assert set(re.findall(r"--[a-z0-9-]+", proc.stdout)) == readme_flags | {"--help"}
 
 
 def test_paper_grid_is_byte_identical_across_blas_threads(tmp_path):
