@@ -31,7 +31,7 @@ from .errors import (
     StationaryOfMerit,
     StepOverflow,
 )
-from .linalg import EigenPair, assert_spd, lyapunov_solve, mat_func, sym_eigen, symmetrize
+from .linalg import EigenPair, lyapunov_solve, mat_func, sym_eigen, symmetrize
 from .manifold import Line, SpdPoint, SpectralTangent, distance, exp_map, inner, norm, random_spd
 from .objectives import (
     Family,

@@ -25,7 +25,6 @@ __all__ = [
     "sym_eigen",
     "mat_func",
     "lyapunov_solve",
-    "assert_spd",
 ]
 
 # Whether a ``quiet`` call is running in this thread or context.
@@ -146,11 +145,3 @@ def lyapunov_solve(
     w = (q.T @ rhs @ q) / denom
     return symmetrize(q @ w @ q.T)
 
-
-def assert_spd(a: np.ndarray, eps: float = 0.0) -> bool:
-    """True iff the symmetric matrix has minimum eigenvalue strictly above eps."""
-    try:
-        pair = sym_eigen(a)
-    except InvalidMatrix:
-        return False
-    return bool(pair.values[0] > eps)

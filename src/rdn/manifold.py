@@ -140,27 +140,27 @@ class SpdPoint:
     """A symmetric positive definite matrix as a point of the cone.
 
     Construction symmetrizes the input and verifies numerical positive
-    definiteness (by Cholesky, or directly from a supplied eigendecomposition).
-    ``from_frame`` builds a spectral point from its eigenvalues and basis
-    instead, forming the matrix only on first use; ``frame`` is set only on
-    spectral points (``from_frame``, ``to_spectral``, spectral steps), and
-    ``spectral``/``spectrum`` read them without drawing a lazy basis.  Every
-    power P^t (``power``, ``sqrt``, ``inv_sqrt``, ``inv``) is formed from the
-    eigenpair alone on first use and kept, read-only, so no matrix is formed
-    that no formula reads.  The matrix is frozen once formed; the caches are
-    filled idempotently on first use, so points are safe to share between
-    threads.
+    definiteness by Cholesky.  ``from_frame`` builds a spectral point from
+    its eigenvalues and basis instead, forming the matrix only on first use;
+    ``frame`` is set only on spectral points (``from_frame``,
+    ``to_spectral``, spectral steps), and ``spectral``/``spectrum`` read them
+    without drawing a lazy basis.  Every power P^t (``power``, ``sqrt``,
+    ``inv_sqrt``, ``inv``) is formed from the eigenpair alone on first use
+    and kept, read-only, so no matrix is formed that no formula reads.  The
+    dense and the spectral form of one point share the matrix and the
+    eigenpair, so each forms the same bits of P^t.  The matrix is frozen
+    once formed; the caches are filled idempotently on first use, so points
+    are safe to share between threads.
     """
 
     # _values/_basis: the frame of a spectral point, its basis held as the
     # EigenPair it came from (possibly a random start's, not drawn yet).
-    # _powers: P^t by exponent t, once formed; the dense and the spectral
-    # form of one point share the dict.
+    # _powers: P^t by exponent t, once this form of the point formed it.
     # _in_bounds: True only on a spectral step whose eigenvalues are the
     # very array needs_dense found at or above the hand-over spread (Line._trial).
     __slots__ = ("_matrix", "_eigen", "_values", "_basis", "_powers", "_in_bounds")
 
-    def __init__(self, matrix: np.ndarray, *, eigen: EigenPair | None = None):
+    def __init__(self, matrix: np.ndarray):
         m = symmetrize(matrix)
         if m.shape[0] < 1:
             raise DimMismatch("a point needs dimension n >= 1, got 0")
@@ -171,40 +171,34 @@ class SpdPoint:
             # A + A^T overflows above half the float maximum; the sum of the
             # halves does not, and is as exactly symmetric.
             m = 0.5 * a + 0.5 * a.T
-        if eigen is not None:
-            if eigen.values.shape != m.shape[:1]:
-                raise DimMismatch(f"eigenvalues of shape {eigen.values.shape} for a matrix of dimension {m.shape[0]}")
-            if float(eigen.values[0]) <= 0.0:
-                raise InvalidPoint("spectrum is not strictly positive")
-        else:
-            try:
-                np.linalg.cholesky(m)
-            except np.linalg.LinAlgError as err:
-                raise InvalidPoint("matrix is not numerically positive definite") from err
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError as err:
+            raise InvalidPoint("matrix is not numerically positive definite") from err
         m.flags.writeable = False
-        self._set(eigen, None, None, m)
+        self._set(None, None, None, m)
 
-    def _set(self, eigen, values, basis, matrix=None, powers=None, in_bounds=False) -> "SpdPoint":
+    def _set(self, eigen, values, basis, matrix=None, in_bounds=False) -> "SpdPoint":
         """Set the six slots; every point is made here."""
         self._matrix = matrix
         self._eigen = eigen
         self._values = values
         self._basis = basis
-        self._powers = {} if powers is None else powers
+        self._powers = {}
         self._in_bounds = in_bounds
         return self
 
     @classmethod
     def _from_spectrum(
         cls, values: np.ndarray, eigen: EigenPair | None, basis: EigenPair | None, *, checked: bool = False,
-        matrix: np.ndarray | None = None, powers: dict | None = None, in_bounds: bool = False,
+        matrix: np.ndarray | None = None, in_bounds: bool = False,
     ) -> "SpdPoint":
         """A point spectral on the vectors of ``basis`` when given, else dense with
         the (possibly lazy) factorization ``eigen``; its matrix unformed unless given.
         ``checked`` vouches that ``values`` are finite and strictly positive."""
         if not (checked or (np.isfinite(values).all() and values.min() > 0.0)):
             raise InvalidPoint("spectrum is not finite and strictly positive")
-        return object.__new__(cls)._set(eigen, None if basis is None else values, basis, matrix, powers, in_bounds)
+        return object.__new__(cls)._set(eigen, None if basis is None else values, basis, matrix, in_bounds)
 
     @classmethod
     def from_frame(cls, values: np.ndarray, basis: np.ndarray) -> "SpdPoint":
@@ -289,11 +283,9 @@ class SpdPoint:
 
     def _on_eigen(self, spectral: bool) -> "SpdPoint":
         """The point rebuilt on ``eigen``, spectral with it as its frame or
-        dense, sharing the matrix (which may still be unformed) and the powers."""
+        dense, sharing the matrix (which may still be unformed)."""
         pair = self.eigen
-        return SpdPoint._from_spectrum(
-            pair.values, pair, pair if spectral else None, matrix=self._matrix, powers=self._powers
-        )
+        return SpdPoint._from_spectrum(pair.values, pair, pair if spectral else None, matrix=self._matrix)
 
     def power(self, t: float) -> np.ndarray:
         """P^t (t = 0.5, -0.5, -1, 2, ...), formed from the eigenpair alone on
@@ -396,10 +388,16 @@ def _tangent_at(p: SpdPoint, v: np.ndarray) -> np.ndarray:
 
 @quiet
 def inner(p: SpdPoint, u: np.ndarray, v: np.ndarray) -> float:
-    """Affine-invariant metric <U, V>_P = tr(V P^{-1} U P^{-1})."""
-    if isinstance(u, SpectralTangent) and isinstance(v, SpectralTangent):
+    """Affine-invariant metric <U, V>_P = tr(V P^{-1} U P^{-1}).
+
+    U and V are both SpectralTangents in the frame of ``p`` or both matrices
+    (DimMismatch otherwise)."""
+    spectral = isinstance(u, SpectralTangent), isinstance(v, SpectralTangent)
+    if all(spectral):
         values = _frame_values(p, u)
         return float(np.sum((u.coeffs / values) * (v.coeffs / _frame_values(p, v))))
+    if any(spectral):
+        raise DimMismatch("inner product of a spectral tangent and a matrix")
     u = _tangent_at(p, u)
     v = _tangent_at(p, v)
     s = p.inv_sqrt()

@@ -27,20 +27,21 @@ rejected as unrepresentable (its exponential overflows, or it rounds outside
 the cone) costs a backtrack but no merit evaluation.  Equality with the upper
 bound holds when no trial is rejected that way.
 
-The solver starts from the spectral form of P_0.  Problems whose field and
-Newton direction come back as SpectralTangents there (the shipped
-GradientField) run the same loop in O(n) per trial; others return matrices
-and continue on the dense route.  An iteration whose iterate or first
-representable trial point has a spread near the rounding floor, where the
-dense route's outcome is decided by rounding (manifold.needs_dense), runs on
-the dense route instead, from the materialized iterate, so statuses and
-counters match it; a trial that cannot be formed at all is backtracked past
-on either route.  Each iteration
+The solver starts from the spectral form of P_0, and every committed
+iterate that is not spectral is put back in spectral form on its
+eigendecomposition.  Problems whose field and Newton direction come back as
+SpectralTangents there (the shipped GradientField) run the same loop in O(n)
+per trial; others return matrices and take dense steps from spectral points,
+whose powers come from the same eigenpair a dense point would factor.  An
+iteration whose iterate or first representable trial point has a spread near
+the rounding floor, where the dense route's outcome is decided by rounding
+(manifold.needs_dense), runs on the dense route instead, from the
+materialized iterate, so statuses and counters match it; a trial that cannot
+be formed at all is backtracked past on either route.  Each iteration
 searches along one manifold.Line, which keeps the trial that check forms for
 the full step or the line search; every trial is one exp_map(p, line, t)
-call.  Once a dense iteration commits its step, the run returns to the
-spectral route on the new iterate's eigendecomposition; the iterates after
-a hand-over agree with a purely dense run only to rounding.
+call.  The iterates after a hand-over agree with a purely dense run only to
+rounding.
 """
 
 from __future__ import annotations
@@ -288,7 +289,6 @@ def solve(
     """
     start = time.perf_counter()
     p = _spectral_form(p0)
-    handed_over = False
     records: list[IterationRecord] = []
     ge = 0
     k = 0
@@ -318,7 +318,6 @@ def solve(
             line = Line(p, v)
             if needs_dense(line, _STEPS[:1] if full else _STEPS):
                 p = p.to_dense()
-                handed_over = True
                 continue
             if full:
                 nxt = exp_map(p, line)
@@ -342,11 +341,10 @@ def solve(
         p = nxt
         if on_iterate is not None:
             on_iterate(k, p)
-        if handed_over:
+        if not p.spectral:
             # Free: the accepted trial's eigendecomposition is cached by its
             # merit, and a full step's would be computed by the next norm.
             p = _spectral_form(p)
-            handed_over = False
     elapsed = time.perf_counter() - start
     trace = SolveTrace(
         records=tuple(records),

@@ -3,7 +3,7 @@ against the same fields on the dense route.
 
 ``GradientField`` runs the solver on the start's eigenbasis and hands over
 to the dense route near the rounding floor; ``DenseField`` below returns
-plain matrices, so the solver never leaves the dense route.  Both must give
+plain matrices, so every step the solver takes is a dense one.  Both must give
 the same statuses, counters and per-iteration step decisions.
 """
 
@@ -206,12 +206,17 @@ def test_overflow_regime_stays_spectral():
     assert steps(spectral) == steps(dense)
 
 
-def test_problems_returning_matrices_stay_dense():
+def test_problems_returning_matrices_take_dense_steps_from_spectral_iterates():
+    # exp_map's dense steps reach on_iterate as they are; the solver then
+    # holds each in spectral form on the factorization its norm reads, with
+    # the same matrix.
     obj = Objective(Family.F1, 1.0, 0.1)
     p0 = random_spd(20, 9.0, 10.0, seed=5)
-    frames = []
-    point, _ = solve(DenseField(obj), p0, SolverConfig(), on_iterate=lambda k, p: frames.append(p.frame))
-    assert all(f is None for f in frames) and point.frame is None
+    iterates = []
+    point, trace = solve(DenseField(obj), p0, SolverConfig(), on_iterate=lambda k, p: iterates.append(p))
+    assert trace.status is Status.CONVERGED and len(iterates) == trace.nit + 1
+    assert all(p.frame is None for p in iterates)
+    assert point.spectral and point.matrix is iterates[-1].matrix
 
 
 @pytest.mark.parametrize("seed", (48453, 48921))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rdn.errors import DimMismatch, InvalidMatrix, SingularOperator, SpectrumDomainError
-from rdn.linalg import assert_spd, lyapunov_solve, mat_func, sym_eigen, symmetrize
+from rdn.linalg import lyapunov_solve, mat_func, sym_eigen, symmetrize
 from rdn.manifold import random_spd
 
 
@@ -172,18 +172,3 @@ class TestLyapunovSolve:
         resid = np.linalg.norm(p @ v + v @ p - rhs)
         assert resid <= 1e-10 * max(1.0, np.linalg.norm(rhs))
 
-
-class TestAssertSpd:
-    def test_identity(self):
-        assert assert_spd(np.eye(3), 1e-12)
-
-    def test_indefinite(self):
-        assert not assert_spd(np.diag([1.0, -1.0]))
-
-    def test_eps_threshold(self):
-        # eigenvalues readable off the diagonal: 1e-13 is not above 1e-12
-        assert not assert_spd(np.diag([1e-13, 1.0]), 1e-12)
-        assert assert_spd(np.diag([1e-11, 1.0]), 1e-12)
-
-    def test_non_finite_is_not_spd(self):
-        assert not assert_spd(np.array([[np.inf, 0.0], [0.0, 1.0]]))

@@ -53,21 +53,6 @@ class TestSpdPoint:
         err = np.linalg.norm(pair.reconstruct() - p.matrix)
         assert err <= 1e-12 * np.linalg.norm(p.matrix)
 
-    def test_supplied_eigen_must_be_positive(self):
-        from rdn.linalg import EigenPair
-
-        with pytest.raises(InvalidPoint):
-            SpdPoint(np.eye(2), eigen=EigenPair(np.array([-1.0, 1.0]), np.eye(2)))
-
-    def test_supplied_eigen_must_match_the_matrix(self):
-        # The values alone are checked: reading the vectors would draw a lazy basis.
-        pair = manifold.identity_eigen(np.ones(3))
-        with pytest.raises(DimMismatch):
-            SpdPoint(np.eye(2), eigen=pair)
-        with pytest.raises(DimMismatch):
-            SpdPoint(np.eye(2), eigen=manifold.identity_eigen(np.ones((2, 1))))
-        assert SpdPoint(np.eye(3), eigen=pair).eigen is pair and pair._basis is None
-
     def test_entries_above_half_the_float_maximum_factor(self):
         # The matrix is exactly symmetric and finite, so eigen factors it as
         # it is: forming A + A^T again would overflow.
@@ -79,10 +64,8 @@ class TestSpdPoint:
     def test_rejects_dimension_zero(self):
         # As from_frame and random_spd do: a 0 x 0 point has no eigenvalue to
         # check, and solve from it would end in an IndexError.
-        empty = np.zeros((0, 0))
-        for eigen in (None, manifold.EigenPair(np.zeros(0), empty)):
-            with pytest.raises(DimMismatch):
-                SpdPoint(empty, eigen=eigen)
+        with pytest.raises(DimMismatch):
+            SpdPoint(np.zeros((0, 0)))
 
     @pytest.mark.parametrize(
         "values, basis, error",
@@ -124,7 +107,13 @@ class TestSpdPoint:
         s = p.inv_sqrt()
         assert p.sqrt() is p.power(0.5) and p.inv() is p.power(-1.0) and p.power(-0.5) is s
         assert p.power(2.0) is p.power(2.0) and not p.power(2.0).flags.writeable
-        assert p.to_dense().power(-0.5) is s and p.to_dense().to_spectral().power(2.0) is p.power(2.0)
+        # The other form shares the eigenpair, not the powers: it forms its
+        # own P^t from that pair, with the same bits.
+        dense = p.to_dense()
+        assert dense.eigen is p.eigen and dense.power(-0.5) is not s
+        assert dense.power(-0.5).tobytes() == s.tobytes()
+        again = dense.to_spectral()
+        assert again.eigen is p.eigen and again.power(2.0).tobytes() == p.power(2.0).tobytes()
         obj = objectives.Objective(objectives.Family.F2, 1.0, 0.5)
         objectives.newton_solve(obj, p.to_dense())
         assert distance(p, other) > 0.0
@@ -150,6 +139,17 @@ class TestInnerAndNorm:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             inner(SpdPoint(np.eye(2)), np.eye(3), np.eye(3))
+
+    @pytest.mark.parametrize("spectral_first", [True, False], ids=["spectral-matrix", "matrix-spectral"])
+    def test_inner_of_a_spectral_tangent_and_a_matrix_raises(self, spectral_first):
+        # DimMismatch, as norm and exp_map raise for a spectral tangent at a
+        # dense point; at a spectral point and at a dense one alike.
+        p = random_spd(3, 1.0, 3.0, seed=4).to_spectral()
+        u, v = SpectralTangent(np.ones(3)), np.eye(3)
+        args = (u, v) if spectral_first else (v, u)
+        for at in (p, p.to_dense()):
+            with pytest.raises(DimMismatch, match="spectral tangent and a matrix"):
+                inner(at, *args)
 
     def test_norm_zero(self):
         assert norm(SpdPoint(np.eye(3)), np.zeros((3, 3))) == 0.0
