@@ -92,21 +92,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _PARSER
     args = parser.parse_args(argv)
 
-    if args.table1 and args.trace:
-        parser.error("--trace requires a single run, not --table1")
-    if not args.table1:
+    single = (("--family", args.family), ("--ratio", args.ratio), ("--dim", args.dim), ("--method", args.method))
+    if args.table1:
+        given = [name for name, value in (*single, ("--trace", args.trace)) if value is not None]
+        if given:
+            parser.error(f"--table1 runs its own grid, not a single run: drop {' '.join(given)}")
+    else:
         if args.max_dim is not None:
             parser.error("--max-dim trims the --table1 grid, not a single run")
-        missing = [
-            name
-            for name, value in (
-                ("--family", args.family),
-                ("--ratio", args.ratio),
-                ("--dim", args.dim),
-                ("--method", args.method),
-            )
-            if value is None
-        ]
+        missing = [name for name, value in single if value is None]
         if missing:
             parser.error(f"{' '.join(missing)} required (or use --table1)")
     settings = dict(

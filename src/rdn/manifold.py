@@ -11,9 +11,11 @@ under which the cone is complete and the exponential map
 is globally defined: every symmetric step lands back inside the cone, so no
 projection is ever needed.  Geodesic distance is ||log(A^{-1/2} B A^{-1/2})||_F.
 
-Points are immutable and carry a lazily computed eigendecomposition, from
-which each power P^t (P^{1/2}, P^{-1/2}, P^{-1}, ...) is formed once, on
-first use, and kept read-only; no matrix is formed that no formula reads.
+Points are immutable and carry an eigendecomposition (a point made from a
+matrix is factored when it is made, and rejected unless its spectrum is
+positive), from which each power P^t (P^{1/2}, P^{-1/2}, P^{-1}, ...) is
+formed once, on first use, and kept read-only; no matrix is formed that no
+formula reads.
 A damped iteration tries exp_P(2^-j V), j = 0, 1, ..., along one geodesic,
 a Line, whose step t is ``exp_map(p, line, t)``.  Each dense step factors
 its own whitened P^{-1/2} t V P^{-1/2} (Pennec, Fillard & Ayache, IJCV 66,
@@ -39,8 +41,8 @@ that can be formed), ``needs_dense`` tells the solver to run that
 iteration on the dense route from a materialized point
 (``to_dense``); the solver then returns to the spectral route on the new
 iterate's eigendecomposition (``to_spectral``, which keeps the matrix and
-the factorization the dense route cached, and whose ``to_dense`` hands the
-same arrays back).  A trial that ``exp_map`` rejects as unrepresentable (not
+the factorization it was made with, and whose ``to_dense`` hands the same
+arrays back).  A trial that ``exp_map`` rejects as unrepresentable (not
 finite, or a spread below the 1e-17 rounding floor) hands nothing over: the
 line search backtracks past it on the spectral route.  A trial eigenvalue
 lambda e^{t c / lambda} is unrepresentable only where it leaves the float
@@ -139,18 +141,19 @@ class _LazyPair(EigenPair):
 class SpdPoint:
     """A symmetric positive definite matrix as a point of the cone.
 
-    Construction symmetrizes the input and verifies numerical positive
-    definiteness by Cholesky.  ``from_frame`` builds a spectral point from
-    its eigenvalues and basis instead, forming the matrix only on first use;
-    ``frame`` is set only on spectral points (``from_frame``,
-    ``to_spectral``, spectral steps), and ``spectral``/``spectrum`` read them
-    without drawing a lazy basis.  Every power P^t (``power``, ``sqrt``,
-    ``inv_sqrt``, ``inv``) is formed from the eigenpair alone on first use
-    and kept, read-only, so no matrix is formed that no formula reads.  The
-    dense and the spectral form of one point share the matrix and the
-    eigenpair, so each forms the same bits of P^t.  The matrix is frozen
-    once formed; the caches are filled idempotently on first use, so points
-    are safe to share between threads.
+    Construction symmetrizes the input, verifies numerical positive
+    definiteness by Cholesky and by eigh, and keeps eigh's factorization, so
+    every point has a finite, strictly positive spectrum.  ``from_frame``
+    builds a spectral point from its eigenvalues and basis instead, forming
+    the matrix only on first use; ``frame`` is set only on spectral points
+    (``from_frame``, ``to_spectral``, spectral steps), and
+    ``spectral``/``spectrum`` read them without drawing a lazy basis.  Every
+    power P^t (``power``, ``sqrt``, ``inv_sqrt``, ``inv``) is formed from
+    the eigenpair alone on first use and kept, read-only, so no matrix is
+    formed that no formula reads.  The dense and the spectral form of one
+    point share the matrix and the eigenpair, so each forms the same bits of
+    P^t.  The matrix is frozen once formed; the caches are filled
+    idempotently on first use, so points are safe to share between threads.
     """
 
     # _values/_basis: the frame of a spectral point, its basis held as the
@@ -171,12 +174,18 @@ class SpdPoint:
             # A + A^T overflows above half the float maximum; the sum of the
             # halves does not, and is as exactly symmetric.
             m = 0.5 * a + 0.5 * a.T
+        # Cholesky is the dense route's acceptance test: eigh alone would
+        # accept some trials near the rounding floor that it rejects.  eigh
+        # rejects what Cholesky accepts with a spectrum reaching zero.
         try:
             np.linalg.cholesky(m)
         except np.linalg.LinAlgError as err:
             raise InvalidPoint("matrix is not numerically positive definite") from err
         m.flags.writeable = False
-        self._set(None, None, None, m)
+        pair = EigenPair(*np.linalg.eigh(m))
+        if float(pair.values[0]) <= 0.0:
+            raise InvalidPoint("matrix is not numerically positive definite")
+        self._set(pair, None, None, m)
 
     def _set(self, eigen, values, basis, matrix=None, in_bounds=False) -> "SpdPoint":
         """Set the six slots; every point is made here."""
@@ -246,21 +255,13 @@ class SpdPoint:
 
     @property
     def eigen(self) -> EigenPair:
-        """Cached spectral factorization; computed once, reused everywhere.
-        A random start's is lazy: reading its ``values`` draws no basis."""
+        """The ascending factorization: a dense point's is made with it, a
+        spectral point's is its frame sorted on first read.  A random start's
+        is lazy: reading its ``values`` draws no basis."""
         if self._eigen is None:
-            if self._basis is not None:
-                values, basis = self.frame
-                order = np.argsort(values, kind="stable")
-                self._eigen = EigenPair(values=values[order], vectors=basis[:, order])
-            else:
-                # The matrix is exactly symmetric and finite already.
-                pair = EigenPair(*np.linalg.eigh(self.matrix))
-                if float(pair.values[0]) <= 0.0:
-                    # Cholesky can accept matrices whose smallest eigenvalues sit
-                    # below the rounding floor of the largest; reject them here.
-                    raise InvalidPoint("matrix is not numerically positive definite")
-                self._eigen = pair
+            values, basis = self.frame
+            order = np.argsort(values, kind="stable")
+            self._eigen = EigenPair(values=values[order], vectors=basis[:, order])
         return self._eigen
 
     @property
@@ -602,7 +603,8 @@ def random_spd(dim: int, eig_low: float, eig_high: float, seed: int) -> SpdPoint
     """Seeded random point with spectrum i.i.d. uniform in [eig_low, eig_high].
 
     The spectrum is drawn first, then an orthogonal frame from the sign-fixed
-    QR factorization of a Gaussian matrix.  Identical arguments give bitwise
+    QR factorization of a Gaussian matrix.  ``seed`` is an integer >= 0
+    (a Python or numpy integer), and identical arguments give bitwise
     identical points.  The frame is drawn, from a copy of the generator's
     state, only when the basis is first read (``matrix``, ``eigen.vectors`` or
     the ``frame`` of a spectral form), so a run that stays on the spectral route
@@ -612,6 +614,9 @@ def random_spd(dim: int, eig_low: float, eig_high: float, seed: int) -> SpdPoint
         raise InvalidRange(f"dimension must be >= 1, got {dim}")
     if not (0.0 < eig_low <= eig_high < np.inf):
         raise InvalidRange(f"need 0 < eig_low <= eig_high, got [{eig_low}, {eig_high}]")
+    # numpy would draw from fresh entropy for None.
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidRange(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     lam = np.sort(rng.uniform(eig_low, eig_high, size=dim))
     state = rng.bit_generator.state

@@ -29,7 +29,9 @@ bound holds when no trial is rejected that way.
 
 The solver starts from the spectral form of P_0, and every committed
 iterate that is not spectral is put back in spectral form on its
-eigendecomposition.  Problems whose field and Newton direction come back as
+eigendecomposition.  Neither can fail: a point is factored when it is made,
+and a dense step whose matrix has no positive spectrum raises StepOverflow
+instead.  Problems whose field and Newton direction come back as
 SpectralTangents there (the shipped GradientField) run the same loop in O(n)
 per trial; others return matrices and take dense steps from spectral points,
 whose powers come from the same eigenpair a dense point would factor.  An
@@ -257,15 +259,6 @@ def armijo_stepsize(
     return ArmijoResult(0.0, len(_STEPS) - 1, evaluations, False, None, merit)
 
 
-def _spectral_form(p: SpdPoint) -> SpdPoint:
-    """``p`` in spectral form, or ``p`` itself if its spectrum is not
-    positive; the dense route then reports the breakdown as a status."""
-    try:
-        return p.to_spectral()
-    except InvalidPoint:
-        return p
-
-
 @quiet
 def solve(
     problem: Problem,
@@ -288,7 +281,7 @@ def solve(
     warnings off (``linalg.quiet``), as does the rest of the run.
     """
     start = time.perf_counter()
-    p = _spectral_form(p0)
+    p = p0.to_spectral()
     records: list[IterationRecord] = []
     ge = 0
     k = 0
@@ -338,13 +331,10 @@ def solve(
         ge += 1 + trial_evals
         records.append(IterationRecord(k, grad_norm, merit, alpha, kind, backtracks))
         k += 1
-        p = nxt
         if on_iterate is not None:
-            on_iterate(k, p)
-        if not p.spectral:
-            # Free: the accepted trial's eigendecomposition is cached by its
-            # merit, and a full step's would be computed by the next norm.
-            p = _spectral_form(p)
+            on_iterate(k, nxt)
+        # Free: a dense step was factored when it was made.
+        p = nxt.to_spectral()
     elapsed = time.perf_counter() - start
     trace = SolveTrace(
         records=tuple(records),

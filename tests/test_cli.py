@@ -141,6 +141,10 @@ def test_invalid_value_in_grid_is_a_usage_error(capsys):
         ([*SINGLE_RUN, "--trace", ""], "--trace: the path is empty"),
         ([*SINGLE_RUN, "--out", "{missing}" + os.sep], "names a directory"),
         ([*SINGLE_RUN, "--trace", "{here}/t.csv" + os.sep], "names a directory"),
+        (["--table1", "--max-dim", "1", "--family", "f2", "--quiet"], "drop --family"),
+        (["--table1", "--max-dim", "1", "--ratio", "3", "--quiet"], "drop --ratio"),
+        (["--table1", "--max-dim", "1", "--dim", "7", "--quiet"], "drop --dim"),
+        (["--table1", "--max-dim", "1", "--method", "full", "--quiet"], "drop --method"),
     ],
     ids=[
         "seed",
@@ -154,6 +158,10 @@ def test_invalid_value_in_grid_is_a_usage_error(capsys):
         "trace-empty",
         "out-ends-in-a-separator",
         "trace-ends-in-a-separator",
+        "family-with-table1",
+        "ratio-with-table1",
+        "dim-with-table1",
+        "method-with-table1",
     ],
 )
 def test_bad_input_fails_before_any_run(argv, message, tmp_path, monkeypatch, capsys):

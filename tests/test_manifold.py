@@ -61,6 +61,30 @@ class TestSpdPoint:
         assert list(p.spectrum) == [1.0, 1e308]
         assert list(np.diag(p.inv_sqrt())) == [1e-154, 1.0]
 
+    def test_every_point_made_near_the_rounding_floor_reads_its_spectrum(self):
+        # A matrix is rejected where it is made, or it is a point whose
+        # spectrum is finite and positive: no later read raises.  Cholesky
+        # accepts some of these spectra whose eigh spectrum reaches zero
+        # (n = 20 at 1e-18, seeds 4, 10 and 11).
+        matrices = [np.diag([1e308, 1.0])]
+        for n in (2, 3, 7, 20, 50):
+            for spread in (1e-15, 1e-16, 1e-17, 1e-18, 1e-19):
+                for seed in (0, 4, 10, 11):
+                    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+                    matrices.append((q * np.geomspace(spread, 1.0, n)) @ q.T)
+        made = 0
+        for m in matrices:
+            try:
+                p = SpdPoint(m)
+            except InvalidPoint:
+                continue
+            made += 1
+            assert p.eigen.values[0] > 0.0 and np.isfinite(p.eigen.values).all()
+            assert np.array_equal(p.spectrum, p.eigen.values)
+            assert np.array_equal(p.to_spectral().spectrum, p.spectrum)
+            assert np.isfinite(p.inv_sqrt()).all()
+        assert 0 < made < len(matrices)
+
     def test_rejects_dimension_zero(self):
         # As from_frame and random_spd do: a 0 x 0 point has no eigenvalue to
         # check, and solve from it would end in an IndexError.
@@ -457,6 +481,16 @@ class TestRandomSpd:
             random_spd(3, 2.0, 1.0, seed=0)
         with pytest.raises(InvalidRange):
             random_spd(0, 1.0, 2.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "1"])
+    def test_rejects_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        # None would draw an unseeded point, which breaks determinism.
+        with pytest.raises(InvalidRange):
+            random_spd(2, 1.0, 10.0, seed=seed)
+
+    def test_numpy_integer_seeds_give_the_points_of_python_integers(self):
+        for seed in (np.int64(7), np.uint32(7)):
+            assert np.array_equal(random_spd(4, 1.0, 10.0, seed=seed).matrix, random_spd(4, 1.0, 10.0, seed=7).matrix)
 
 
 class TestSpectralSeam:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rdn.bench import table1_grid
-from rdn.errors import DimMismatch, InvalidMatrix, SingularOperator, StationaryOfMerit
+from rdn.errors import DimMismatch, InvalidMatrix, InvalidPoint, SingularOperator, StationaryOfMerit
 from rdn.linalg import symmetrize
 from rdn.manifold import SpdPoint, SpectralTangent, exp_map, inner, norm, random_spd
 from rdn.objectives import Family, GradientField, Objective, minimizer
@@ -219,15 +219,15 @@ class TestSolve:
         assert (trace.status, trace.nit) == (Status.STEP_OVERFLOW, 0)
 
     @pytest.mark.parametrize("seed", [4, 10, 11])
-    def test_a_start_that_cholesky_accepts_and_eigh_rejects_ends_in_a_status(self, seed):
+    def test_a_start_that_cholesky_accepts_and_eigh_rejects_is_not_a_point(self, seed):
         # Cholesky accepts the matrix, but its eigh spectrum reaches below zero
-        # (-6.8e-18 at seed 4): the spectral form cannot be made, the run stays
-        # dense, and the field's norm reports the breakdown before any step.
+        # (-6.8e-18 at seed 4): the point is rejected where it is made, so no
+        # run starts from it.
         q = np.linalg.qr(np.random.default_rng(seed).standard_normal((20, 20)))[0]
-        start = SpdPoint((q * np.geomspace(1e-18, 1.0, 20)) @ q.T)
-        point, trace = solve(GradientField(Objective(Family.F1, 1.0, 1.0)), start)
-        assert (trace.status, trace.nit, trace.ge) == (Status.STEP_OVERFLOW, 0, 0)
-        assert math.isnan(trace.final_grad_norm) and point is start
+        m = (q * np.geomspace(1e-18, 1.0, 20)) @ q.T
+        np.linalg.cholesky(symmetrize(m))
+        with pytest.raises(InvalidPoint):
+            SpdPoint(m)
 
     @pytest.mark.parametrize("shape, error", [((2, 3), InvalidMatrix), ((3, 3), DimMismatch)])
     def test_a_field_of_the_wrong_shape_is_an_error_not_a_status(self, shape, error):
