@@ -16,6 +16,7 @@ Measured times live in ExperimentResult.time_s and can be written with
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -73,6 +74,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if not 0.0 < self.ratio < float("inf"):
             raise ValueError(f"ratio must be finite and positive, got {self.ratio}")
+        # numpy's integers are Integral too; a float or a string is neither.
+        for name, value in (("dim", self.dim), ("seed", self.seed)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         # A run that stays spectral forms no n x n array, but one that hands

@@ -17,9 +17,10 @@ positive), from which each power P^t (P^{1/2}, P^{-1/2}, P^{-1}, ...) is
 formed once, on first use, and kept read-only; no matrix is formed that no
 formula reads.
 A damped iteration tries exp_P(2^-j V), j = 0, 1, ..., along one geodesic,
-a Line, whose step t is ``exp_map(p, line, t)``.  Each dense step factors
-its own whitened P^{-1/2} t V P^{-1/2} (Pennec, Fillard & Ayache, IJCV 66,
-2006); the dense route runs only where a spectral iteration cannot.
+a Line, whose step t is ``exp_map(p, line, t)``.  A line factors its first
+whitened dense step P^{-1/2} t V P^{-1/2} (Pennec, Fillard & Ayache, IJCV
+66, 2006) and scales that eigenpair, bit for bit, for later steps; the
+dense route runs only where a spectral iteration cannot.
 
 Spectral seam.  A point may instead be held in spectral form, a frame
 (values, basis) with P = basis diag(values) basis^T, and a tangent that
@@ -334,12 +335,14 @@ class Line:
 
     ``exp_map(point, line, t)`` is bit for bit ``exp_map(point, t * direction)``;
     the line holds the spectral trial ``needs_dense`` kept, which ``exp_map``
-    returns for its own step.  A step at a point other than the line's raises
-    DimMismatch.
+    returns for its own step, and the eigenpair of its first whitened dense
+    step (``_whitened_eigen``).  A step at a point other than the line's
+    raises DimMismatch.
     """
 
     # _trial: (t, eigenvalues) that needs_dense found at or above the hand-over spread.
-    __slots__ = ("point", "direction", "_trial")
+    # _whitened: (t0, eigenpair of the whitened t0 V, floor of its magnitudes).
+    __slots__ = ("point", "direction", "_trial", "_whitened")
 
     def __init__(self, point: SpdPoint, direction: np.ndarray | SpectralTangent):
         if isinstance(direction, SpectralTangent):
@@ -347,7 +350,7 @@ class Line:
         else:
             direction = np.asarray(direction, dtype=float)
         self.point, self.direction = point, direction
-        self._trial = None
+        self._trial = self._whitened = None
 
 
 def _frame_values(p: SpdPoint, v: SpectralTangent) -> np.ndarray:
@@ -436,6 +439,34 @@ def norm(p: SpdPoint, v: np.ndarray) -> float:
 # Whitened steps below this norm take the series route in exp_map: the
 # truncation error ||M||^3/6 is then under 2e-19, beneath double rounding.
 _EXP_SERIES_CUTOFF = 1e-6
+# The eigenpair (mu, Q) of the whitened step M0 = P^{-1/2} t0 V P^{-1/2}
+# serves the step r t0, r = 2^-k <= 1, as (r mu, Q), bit for bit: scaling by
+# a power of two commutes with rounding in the products and in eigh while
+# nothing nears the subnormal range.  So min|t0 V| min(1, min|si|)^2, which
+# bounds the products' nonzero terms, every nonzero entry of M0 and every
+# nonzero eigenvalue, times r, must reach _SCALING_FLOOR, far above LAPACK's
+# thresholds (2^-405 in dsteqr, 2^-511 in dlartg); and max|M0| < 2^480, as
+# syevd rescales above 2^484.5 by a factor that is not a power of two.
+_SCALING_FLOOR = 2.0**-300
+
+
+def _whitened_eigen(line: Line, t: float, step: np.ndarray) -> EigenPair:
+    """The eigenpair of P^{-1/2} step P^{-1/2}, step = sym(t V): the line's pair
+    scaled where that gives the same bits, else factored and kept if first."""
+    kept = line._whitened
+    if kept is not None:
+        t0, pair, floor = kept
+        r = t / t0
+        if r <= 1.0 and math.frexp(r)[0] == 0.5 and r * floor >= _SCALING_FLOOR:
+            return EigenPair(r * pair.values, pair.vectors)
+    si = line.point.inv_sqrt()
+    m = si @ step @ si
+    pair = sym_eigen(m)
+    if kept is None:
+        least = [float(np.abs(a[a != 0.0]).min(initial=math.inf)) for a in (step, si, m, pair.values)]
+        floor = min(least[0] * min(1.0, least[1]) ** 2, *least[2:])
+        line._whitened = (t, pair, floor if np.abs(m).max() < 2.0**480 and np.isfinite(pair.values).all() else 0.0)
+    return pair
 
 
 @quiet
@@ -459,8 +490,8 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
     definite matrix form and also raises StepOverflow.  A tangent V steps as
     Line(P, V).  The step t of a Line is taken from the line's point
     (DimMismatch elsewhere), bit for bit as the tangent t V: the trial
-    ``needs_dense`` kept is returned as it is for its own step, and each
-    dense step factors its own whitened step.
+    ``needs_dense`` kept is returned as it is for its own step, and a dense
+    step scales the eigenpair of the line's first whitened step where it can.
     """
     line = v if isinstance(v, Line) else Line(p, v)
     if line.point is not p:
@@ -479,9 +510,9 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
     if _frobenius(step) / float(p.eigen.values[0]) <= _EXP_SERIES_CUTOFF:
         out = symmetrize(p.matrix + step + 0.5 * (step @ p.inv() @ step))
     else:
-        s, si = p.sqrt(), p.inv_sqrt()
+        s = p.sqrt()
         try:
-            e = mat_func(si @ step @ si, np.exp)
+            e = mat_func(None, np.exp, eigen=_whitened_eigen(line, t, step))
         except (SpectrumDomainError, InvalidMatrix) as err:
             raise StepOverflow("exponential of the whitened step is not finite") from err
         # A + A^T overflows above half the float maximum: SpdPoint rejects it.

@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 
 import rdn
-from rdn import solver
+from rdn import manifold, solver
 from rdn.bench import ExperimentSpec, run_experiment, table1_grid
+from rdn.linalg import sym_eigen
 from rdn.manifold import SpdPoint, exp_map, random_spd
 from rdn.objectives import (
     Family,
@@ -234,6 +235,43 @@ def test_run_returns_to_the_spectral_route_after_a_hand_over(seed):
     dense_steps = [k for k in range(trace.nit) if not spectral[k + 1]]
     assert dense_steps and dense_steps[-1] < trace.nit - 1
     assert all(spectral[dense_steps[-1] + 2:]) and point.spectral
+
+
+def _run_hex(run):
+    """Status, NIT, GE, every record with its floats as hex, and the final point's bytes."""
+    point, trace = run
+    records = [
+        (r.k, r.grad_norm.hex(), r.merit.hex(), r.alpha.hex(), r.direction_kind, r.backtracks) for r in trace.records
+    ]
+    return trace.status, trace.nit, trace.ge, records, point.matrix.tobytes()
+
+
+def _factoring_each_trial(line, t, step):
+    """Every dense trial factors its own whitened step, sharing nothing."""
+    si = line.point.inv_sqrt()
+    return sym_eigen(si @ step @ si)
+
+
+_SHARED_PAIR_RUNS = [
+    (GradientField, Family.F2, 0.01, 100, 48453),
+    (GradientField, Family.F2, 0.01, 100, 48921),
+    (DenseField, Family.F2, 0.001, 20, 0),
+]
+
+
+@pytest.mark.parametrize("field,family,ratio,dim,seed", _SHARED_PAIR_RUNS, ids=lambda x: getattr(x, "__name__", x))
+def test_a_line_s_shared_whitened_eigenpair_keeps_every_run_bit_for_bit(field, family, ratio, dim, seed, monkeypatch):
+    # Backtracked dense trials scale the eigenpair of their line's first
+    # whitened step; each gives the bits of factoring its own.  The hand-over
+    # cells run their first iteration densely with 4 backtracks, the
+    # DenseField run every iteration.
+    obj = Objective(family, 1.0, ratio)
+    p0 = random_spd(dim, 1.0, 10.0, seed=seed)
+    shared = solve(field(obj), p0, SolverConfig())
+    monkeypatch.setattr(manifold, "_whitened_eigen", _factoring_each_trial)
+    own = solve(field(obj), p0, SolverConfig())
+    assert sum(r.backtracks for r in own[1].records) >= 4
+    assert _run_hex(shared) == _run_hex(own)
 
 
 _ROUNDING_FLOOR_CELLS = """

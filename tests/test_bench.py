@@ -44,6 +44,18 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             spec(dim=0)
 
+    @pytest.mark.parametrize("field,value", [("seed", 1.5), ("seed", "1"), ("dim", 3.0), ("dim", "3")])
+    def test_rejects_a_seed_or_dimension_that_is_not_an_integer(self, field, value):
+        # Without the check the seed fails inside run_experiment with
+        # InvalidRange and the dimension with numpy's TypeError.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            spec(**{field: value})
+
+    def test_numpy_integer_seed_and_dimension_give_the_run_of_python_integers(self):
+        a = run_experiment(spec(dim=np.int64(5), seed=np.uint32(7)))
+        b = run_experiment(spec(dim=5, seed=7))
+        assert (a.status, a.nit, a.ge, a.final_grad_norm.hex()) == (b.status, b.nit, b.ge, b.final_grad_norm.hex())
+
     def test_objective_uses_unit_a(self):
         obj = spec(ratio=0.25).objective()
         assert obj.a == 1.0 and obj.b == 0.25

@@ -330,17 +330,17 @@ def _trial(p, v, t=1.0):
         return StepOverflow
 
 
-def _counting_eigh(monkeypatch):
-    """A list that grows by one for every np.linalg.eigh call from now on."""
+def _trials_along_and_plain(monkeypatch, p, v, js):
+    """The trials 2^-j along Line(p, v) and of the plain tangents 2^-j v, and
+    how many whitened steps each factors."""
     calls = []
-    eigh = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return calls
+    monkeypatch.setattr(manifold, "sym_eigen", lambda a: calls.append(a.shape) or sym_eigen(a))
+    want = [_trial(p, 2.0**-j * v) for j in js]
+    own = len(calls)
+    line = Line(p, v)
+    got = [_trial(p, line, 2.0**-j) for j in js]
+    monkeypatch.undo()
+    return got, want, own, len(calls) - own
 
 
 def _line_search_cases():
@@ -362,26 +362,41 @@ def _line_search_cases():
         yield p, v, js, subnormal
 
 
-class TestDenseTangent:
+class TestLine:
     def test_trials_match_the_per_trial_recipe_bitwise(self, monkeypatch):
-        # Each step of a line is bitwise the step of the scaled tangent, and
-        # factors its own whitened step: one eigh per factored trial, as the
-        # plain tangents pay, into the subnormal range as well.
+        # Each step of a line is bitwise the step of the scaled tangent.  The
+        # line factors one whitened step, its first, and scales that
+        # eigenpair for the later steps; a trial that could near the
+        # subnormal range (here every trial of the subnormal cases) factors
+        # its own, as the plain tangents do.
         subnormal_factored = 0
         for p, v, js, subnormal in _line_search_cases():
-            p.eigen
-            calls = _counting_eigh(monkeypatch)
-            want = [_trial(p, 2.0**-j * v) for j in js]
-            own = len(calls)
-            line = Line(p, v)
-            got = [_trial(p, line, 2.0**-j) for j in js]
-            along = len(calls) - own
-            monkeypatch.undo()
+            got, want, own, along = _trials_along_and_plain(monkeypatch, p, v, js)
             mismatched = [j for j, g, w in zip(js, got, want) if g != w]
             assert not mismatched, (p.dim, mismatched, subnormal)
-            assert along == own, (p.dim, js, subnormal, own, along)
+            # One for the line, plus one for each guarded trial.
+            assert along == (own if subnormal else min(own, 1)), (p.dim, js, subnormal, own, along)
             subnormal_factored += subnormal and own > 1
         assert subnormal_factored >= 5
+
+    def test_trials_across_the_scaling_floor_match_bitwise(self, monkeypatch):
+        # A whitened direction with entries a few octaves above the scaling
+        # floor: the first steps scale the line's eigenpair, the later ones
+        # (until the series route takes over) factor their own, and every
+        # step keeps the per-trial bits.  A diagonal point keeps the tiny
+        # entries through the whitening.
+        rng = np.random.default_rng(20261020)
+        floor = manifold._SCALING_FLOOR
+        for n in (2, 3, 7, 20):
+            lam = rng.uniform(0.5, 2.0, n)
+            p = SpdPoint(np.diag(lam))
+            v = random_symmetric(rng, n)
+            for _ in range(n // 2 + 1):
+                a, b = rng.integers(0, n, size=2)
+                v[a, b] = v[b, a] = floor * 2.0 ** rng.uniform(5.0, 12.0)
+            got, want, own, along = _trials_along_and_plain(monkeypatch, p, v, range(61))
+            assert got == want, n
+            assert 1 < along < own, (n, own, along)
 
 
 class TestDistance:

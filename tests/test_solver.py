@@ -178,6 +178,26 @@ class TestArmijo:
         assert not res.accepted and res.point is None
         assert (res.backtracks, res.evaluations) == (60, 0)
 
+    def test_dense_line_search_factors_its_direction_once(self, monkeypatch):
+        # One eigh of the whitened direction for the whole line search, one
+        # for each trial point made; backtracked trials scale the first.
+        problem = f1_problem()
+        p = SpdPoint(random_spd(6, 9.0, 10.0, seed=1).matrix)
+        v = problem.newton_solve(p)
+        assert isinstance(v, np.ndarray)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        res = armijo_stepsize(problem, p, v, sigma=1e-4)
+        monkeypatch.undo()
+        assert res.accepted and res.backtracks >= 3
+        assert len(calls) <= 1 + res.evaluations, (len(calls), res.backtracks, res.evaluations)
+
     def test_returns_accepted_point_and_merit(self):
         problem = f1_problem()
         p = SpdPoint(np.array([[10.0]]))
