@@ -14,7 +14,7 @@ full-step iterations with tracing), ``bench`` and ``cli`` (the seeded
 benchmark harness behind the ``rdn-bench`` command).
 
 The shipped fields are spectral functions of P, so ``GradientField`` runs the
-solver on spectral points and SpectralTangents (``manifold``): O(n) per
+solver on each point's frame and on SpectralTangents (``manifold``): O(n) per
 step, handing single iterations over to the dense route where that route's
 outcome depends on rounding (spreads lambda_min / lambda_max near the
 rounding floor).  The start's basis is drawn only if a matrix is read.

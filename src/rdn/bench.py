@@ -16,11 +16,10 @@ Measured times live in ExperimentResult.time_s and can be written with
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
-from .errors import RdnError
+from .errors import INTEGER, REAL, RdnError, require
 from .linalg import quiet
 from .manifold import distance, random_spd
 from .objectives import Family, GradientField, Objective, minimizer
@@ -72,12 +71,13 @@ class ExperimentSpec:
     init_eig_range: tuple[float, float] = (1.0, 10.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "family", Family(self.family))
+        object.__setattr__(self, "method", Method(self.method))
+        low, high = self.init_eig_range
+        require(REAL, ratio=self.ratio, init_eig_range_low=low, init_eig_range_high=high)
+        require(INTEGER, dim=self.dim, seed=self.seed)
         if not 0.0 < self.ratio < float("inf"):
             raise ValueError(f"ratio must be finite and positive, got {self.ratio}")
-        # numpy's integers are Integral too; a float or a string is neither.
-        for name, value in (("dim", self.dim), ("seed", self.seed)):
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         # A run that stays spectral forms no n x n array, but one that hands
@@ -87,7 +87,6 @@ class ExperimentSpec:
             raise ValueError(f"dim {self.dim} needs an n x n float64 matrix larger than physical memory")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        low, high = self.init_eig_range
         if not 0.0 < low <= high < float("inf"):
             raise ValueError(f"init range needs 0 < LOW <= HIGH < inf, got {low},{high}")
         self.config()  # validates sigma, grad_tol and max_iters

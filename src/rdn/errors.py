@@ -1,4 +1,11 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the type check of the
+fields a caller passes its dataclasses."""
+
+import numpy as np
+
+# Concrete types, so that the check costs no ABC lookup per field.
+REAL = (int, float, np.integer, np.floating)
+INTEGER = (int, np.integer)
 
 
 class RdnError(Exception):
@@ -35,3 +42,12 @@ class InvalidRange(RdnError):
 
 class StationaryOfMerit(RdnError):
     """Zero search direction at a point that is not a singularity."""
+
+
+def require(kind: tuple[type, ...], **fields) -> None:
+    """ValueError naming the first of ``fields`` that is a bool or is not of
+    ``kind``: REAL or INTEGER, which take Python's and numpy's numbers."""
+    what = "an integer" if kind is INTEGER else "a real number"
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name} must be {what}, got {value!r}")

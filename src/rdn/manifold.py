@@ -22,11 +22,12 @@ whitened dense step P^{-1/2} t V P^{-1/2} (Pennec, Fillard & Ayache, IJCV
 66, 2006) and scales that eigenpair, bit for bit, for later steps; the
 dense route runs only where a spectral iteration cannot.
 
-Spectral seam.  A point may instead be held in spectral form, a frame
-(values, basis) with P = basis diag(values) basis^T, and a tangent that
-commutes with it as a SpectralTangent, the coefficients of V in the same
-basis.  Along such tangents the metric, the norm and the exponential map are
-O(n) functions of the eigenvalues (Higham, Functions of Matrices, ch. 1):
+Spectral seam.  Every point holds a frame (values, basis), with
+P = basis diag(values) basis^T, on the eigendecomposition it was made with,
+and a tangent that commutes with it is a SpectralTangent, the coefficients
+of V in the same basis.  Along such tangents the metric, the norm and the
+exponential map are O(n) functions of the eigenvalues (Higham, Functions of
+Matrices, ch. 1):
 
     ||V||_P = ||c / lambda||,   exp_P(t V) = basis diag(lambda e^{t c / lambda}) basis^T,
 
@@ -39,11 +40,10 @@ again.
 Where the dense route's outcome is decided by rounding noise (a spread
 lambda_min / lambda_max below 1e-13 at the iterate or at its first trial
 that can be formed), ``needs_dense`` tells the solver to run that
-iteration on the dense route from a materialized point
-(``to_dense``); the solver then returns to the spectral route on the new
-iterate's eigendecomposition (``to_spectral``, which keeps the matrix and
-the factorization it was made with, and whose ``to_dense`` hands the same
-arrays back).  A trial that ``exp_map`` rejects as unrepresentable (not
+iteration on the dense route, at the iterate's frameless view
+(``SpdPoint._dense``, which shares its eigenpair and matrix); the dense
+step holds its own eigendecomposition as its frame, so the next iteration
+is spectral again.  A trial that ``exp_map`` rejects as unrepresentable (not
 finite, or a spread below the 1e-17 rounding floor) hands nothing over: the
 line search backtracks past it on the spectral route.  A trial eigenvalue
 lambda e^{t c / lambda} is unrepresentable only where it leaves the float
@@ -51,15 +51,14 @@ range itself, not where its factor e^{t c / lambda} alone does.
 
 Lazy bases.  ``random_spd`` draws the spectrum at once but the basis (a QR
 factorization) only when something reads it.  Its factorization is an
-EigenPair whose ``vectors`` are drawn on first read, and its spectral form
-holds that same pair as its frame's basis: the matrix, ``eigen.vectors`` and
-a spectral point's ``frame`` draw it, ``eigen.values`` does not.  The hot
-paths read eigenvalues through ``spectrum`` and test for the spectral form
-with ``spectral``, neither of which draws it, so a run that stays spectral
-factorizes nothing.  ``identity_eigen`` holds the identity basis of a
-diagonal matrix the same way and forms the matrix as diag(values), so a
-point built on it from its spectrum alone, such as the minimizer c I, forms
-no n x n array unless its basis or its matrix is read.
+EigenPair whose ``vectors`` are drawn on first read, which is also the
+start's frame: the matrix, ``eigen.vectors`` and ``frame`` draw it,
+``eigen.values`` does not.  The hot paths read eigenvalues through
+``spectrum`` and test for a frame with ``spectral``, neither of which draws
+it, so a run that stays spectral factorizes nothing.  ``identity_eigen``
+holds the identity basis of a diagonal matrix the same way and forms the
+matrix as diag(values), so a point built on it from its spectrum alone, such
+as the minimizer c I, forms no n x n array unless its basis or matrix is read.
 """
 
 from __future__ import annotations
@@ -143,23 +142,21 @@ class SpdPoint:
     """A symmetric positive definite matrix as a point of the cone.
 
     Construction symmetrizes the input, verifies numerical positive
-    definiteness by Cholesky and by eigh, and keeps eigh's factorization, so
-    every point has a finite, strictly positive spectrum.  ``from_frame``
-    builds a spectral point from its eigenvalues and basis instead, forming
-    the matrix only on first use; ``frame`` is set only on spectral points
-    (``from_frame``, ``to_spectral``, spectral steps), and
-    ``spectral``/``spectrum`` read them without drawing a lazy basis.  Every
-    power P^t (``power``, ``sqrt``, ``inv_sqrt``, ``inv``) is formed from
-    the eigenpair alone on first use and kept, read-only, so no matrix is
-    formed that no formula reads.  The dense and the spectral form of one
-    point share the matrix and the eigenpair, so each forms the same bits of
-    P^t.  The matrix is frozen once formed; the caches are filled
-    idempotently on first use, so points are safe to share between threads.
+    definiteness by Cholesky and by eigh, and keeps eigh's factorization as
+    its ``frame``, so every point has a finite, strictly positive spectrum.
+    ``from_frame`` builds a point from its eigenvalues and basis instead,
+    forming the matrix only on first use; ``spectral``/``spectrum`` read the
+    frame without drawing a lazy basis.  Every power P^t (``power``,
+    ``sqrt``, ``inv_sqrt``, ``inv``) is formed from the eigenpair alone on
+    first use and kept, read-only, so no matrix is formed that no formula
+    reads; a point and its frameless view (``_dense``) form the same bits.
+    The matrix is frozen once formed; the caches are filled idempotently on
+    first use, so points are safe to share between threads.
     """
 
-    # _values/_basis: the frame of a spectral point, its basis held as the
-    # EigenPair it came from (possibly a random start's, not drawn yet).
-    # _powers: P^t by exponent t, once this form of the point formed it.
+    # _values/_basis: the frame, its basis held as the EigenPair it came
+    # from (possibly a random start's, not drawn yet); None on a view.
+    # _powers: P^t by exponent t, once this object formed it.
     # _in_bounds: True only on a spectral step whose eigenvalues are the
     # very array needs_dense found at or above the hand-over spread (Line._trial).
     __slots__ = ("_matrix", "_eigen", "_values", "_basis", "_powers", "_in_bounds")
@@ -186,7 +183,7 @@ class SpdPoint:
         pair = EigenPair(*np.linalg.eigh(m))
         if float(pair.values[0]) <= 0.0:
             raise InvalidPoint("matrix is not numerically positive definite")
-        self._set(pair, None, None, m)
+        self._set(pair, pair.values, pair, m)
 
     def _set(self, eigen, values, basis, matrix=None, in_bounds=False) -> "SpdPoint":
         """Set the six slots; every point is made here."""
@@ -200,15 +197,15 @@ class SpdPoint:
 
     @classmethod
     def _from_spectrum(
-        cls, values: np.ndarray, eigen: EigenPair | None, basis: EigenPair | None, *, checked: bool = False,
-        matrix: np.ndarray | None = None, in_bounds: bool = False,
+        cls, values: np.ndarray, eigen: EigenPair | None, basis: EigenPair, *, checked: bool = False,
+        in_bounds: bool = False,
     ) -> "SpdPoint":
-        """A point spectral on the vectors of ``basis`` when given, else dense with
-        the (possibly lazy) factorization ``eigen``; its matrix unformed unless given.
-        ``checked`` vouches that ``values`` are finite and strictly positive."""
+        """A point on the frame (``values``, the vectors of ``basis``), with the
+        (possibly lazy) ascending factorization ``eigen`` if known; its matrix
+        unformed.  ``checked`` vouches that ``values`` are finite and strictly positive."""
         if not (checked or (np.isfinite(values).all() and values.min() > 0.0)):
             raise InvalidPoint("spectrum is not finite and strictly positive")
-        return object.__new__(cls)._set(eigen, None if basis is None else values, basis, matrix, in_bounds)
+        return object.__new__(cls)._set(eigen, values, basis, None, in_bounds)
 
     @classmethod
     def from_frame(cls, values: np.ndarray, basis: np.ndarray) -> "SpdPoint":
@@ -228,20 +225,20 @@ class SpdPoint:
 
     @property
     def spectral(self) -> bool:
-        """Whether the point is held in spectral form (``frame`` is set)."""
+        """Whether ``frame`` is set: false only on a frameless view."""
         return self._basis is not None
 
     @property
     def frame(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(values, basis) with P = basis diag(values) basis^T on spectral
-        points, else None.  Reading it draws a lazy basis."""
+        """(values, basis) with P = basis diag(values) basis^T; None only on
+        a frameless view.  Reading it draws a lazy basis."""
         return None if self._basis is None else (self._values, self._basis.vectors)
 
     @property
     def matrix(self) -> np.ndarray:
         """The matrix; formed on first use from the ascending
-        eigendecomposition, so the dense and the spectral form of a point
-        give the same bits whatever the frame order."""
+        eigendecomposition, so a point and its frameless view give the same
+        bits whatever the frame order."""
         if self._matrix is None:
             m = self.eigen.reconstruct()
             if not np.all(np.isfinite(m)):
@@ -252,13 +249,13 @@ class SpdPoint:
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[0] if self._matrix is not None else self.spectrum.shape[0]
+        return self.spectrum.shape[0]
 
     @property
     def eigen(self) -> EigenPair:
-        """The ascending factorization: a dense point's is made with it, a
-        spectral point's is its frame sorted on first read.  A random start's
-        is lazy: reading its ``values`` draws no basis."""
+        """The ascending factorization: the one a point is made with, or its
+        frame sorted on first read.  A random start's is lazy: reading its
+        ``values`` draws no basis."""
         if self._eigen is None:
             values, basis = self.frame
             order = np.argsort(values, kind="stable")
@@ -267,27 +264,14 @@ class SpdPoint:
 
     @property
     def spectrum(self) -> np.ndarray:
-        """The eigenvalues, in frame order for spectral points; reading them
-        draws no lazy basis."""
+        """The eigenvalues, in frame order; reading them draws no lazy basis."""
         return self._values if self._values is not None else self.eigen.values
 
-    def to_spectral(self) -> "SpdPoint":
-        """The same point in spectral form on its eigendecomposition, sharing
-        its cached matrix and factorization (a random start's basis stays
-        undrawn)."""
-        return self if self.spectral else self._on_eigen(spectral=True)
-
-    def to_dense(self) -> "SpdPoint":
-        """The same point held densely, on the ascending factorization and
-        the matrix if formed: a point made by ``to_spectral`` gives back the
-        arrays of the dense point it was made from."""
-        return self._on_eigen(spectral=False) if self.spectral else self
-
-    def _on_eigen(self, spectral: bool) -> "SpdPoint":
-        """The point rebuilt on ``eigen``, spectral with it as its frame or
-        dense, sharing the matrix (which may still be unformed)."""
-        pair = self.eigen
-        return SpdPoint._from_spectrum(pair.values, pair, pair if spectral else None, matrix=self._matrix)
+    def _dense(self) -> "SpdPoint":
+        """The same point without a frame, on the ascending factorization and
+        the matrix if formed: the solver's view for an iteration it runs on
+        the dense route."""
+        return object.__new__(SpdPoint)._set(self.eigen, None, None, self._matrix)
 
     def power(self, t: float) -> np.ndarray:
         """P^t (t = 0.5, -0.5, -1, 2, ...), formed from the eigenpair alone on
@@ -313,7 +297,7 @@ class SpdPoint:
 
 
 class SpectralTangent:
-    """Tangent V = basis diag(coeffs) basis^T in the frame of a spectral point.
+    """Tangent V = basis diag(coeffs) basis^T in the frame of a point.
 
     Such a V commutes with its base point; scaling by a number is its only
     arithmetic.
@@ -530,8 +514,8 @@ def needs_dense(line: Line, steps: Iterable[float]) -> bool:
     True when the line's direction is a SpectralTangent and its point or its
     first representable trial exp_P(t V), t in ``steps`` largest first, has
     a spread lambda_min / lambda_max below 1e-13, where the dense route's
-    outcome is decided by rounding.  The solver then continues from
-    ``line.point.to_dense()``.  A trial is representable if its spread is at
+    outcome is decided by rounding; the solver then runs the iteration at
+    ``line.point._dense()``.  A trial is representable if its spread is at
     least the rounding floor 1e-17; exp_map rejects any other as
     StepOverflow, so it needs no hand-over and the line search backtracks
     past it (the paper's step 2 skips a trial that cannot be formed).
@@ -571,14 +555,9 @@ def _spread(values: np.ndarray) -> np.float64:
 
 
 def _scalar_coefficient(p: SpdPoint) -> float | None:
-    """c if the point is exactly c times the identity, else None."""
-    if p.spectral:
-        values = p.spectrum
-        return float(values[0]) if np.all(values == values[0]) else None
-    diag = np.diag(p.matrix)
-    if np.all(diag == diag[0]) and np.count_nonzero(p.matrix) == p.dim:
-        return float(diag[0])
-    return None
+    """c if every eigenvalue of the point is exactly c, else None."""
+    values = p.spectrum
+    return float(values[0]) if np.all(values == values[0]) else None
 
 
 def _log_ratio(x: np.ndarray | np.float64, c: float) -> np.ndarray | np.float64:
@@ -636,10 +615,10 @@ def random_spd(dim: int, eig_low: float, eig_high: float, seed: int) -> SpdPoint
     The spectrum is drawn first, then an orthogonal frame from the sign-fixed
     QR factorization of a Gaussian matrix.  ``seed`` is an integer >= 0
     (a Python or numpy integer), and identical arguments give bitwise
-    identical points.  The frame is drawn, from a copy of the generator's
-    state, only when the basis is first read (``matrix``, ``eigen.vectors`` or
-    the ``frame`` of a spectral form), so a run that stays on the spectral route
-    never pays for the QR; the matrix is formed on first use.
+    identical points.  The basis is drawn, from a copy of the generator's
+    state, only when it is first read (``matrix``, ``eigen.vectors`` or
+    ``frame``), so a run that stays on the spectral route never pays for the
+    QR; the matrix is formed on first use.
     """
     if dim < 1:
         raise InvalidRange(f"dimension must be >= 1, got {dim}")
@@ -658,4 +637,5 @@ def random_spd(dim: int, eig_low: float, eig_high: float, seed: int) -> SpdPoint
         q, r = np.linalg.qr(gen.standard_normal((dim, dim)))
         return q * np.where(np.diag(r) >= 0.0, 1.0, -1.0)
 
-    return SpdPoint._from_spectrum(lam, _LazyPair(lam, draw_basis), None)
+    pair = _LazyPair(lam, draw_basis)
+    return SpdPoint._from_spectrum(lam, pair, pair)

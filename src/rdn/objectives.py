@@ -18,9 +18,9 @@ a Lyapunov equation P V + V P = RHS with an RHS polynomial in P:
 The merit function is phi(P) = ||grad f(P)||_P^2 / 2, with closed-form
 gradients  a b I - b^2 P^{-1}  and  b^2 P^3 - a b P^2.
 
-All of these are spectral functions of P.  At a point in spectral form
-GradientField therefore returns the field and the Newton direction as
-SpectralTangents on the point's frame, with eigenvalue coefficients
+All of these are spectral functions of P.  At every point GradientField
+therefore returns the field and the Newton direction as SpectralTangents on
+the point's frame, with eigenvalue coefficients
 
     field:   a lambda - b            (one),   a lambda - b lambda^2   (two),
     Newton:  lambda - (a/b) lambda^2 (one),   a/b - lambda            (two),
@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimMismatch, SpectrumDomainError
+from .errors import REAL, DimMismatch, SpectrumDomainError, require
 from .linalg import lyapunov_solve, mat_func, quiet, symmetrize
 from .manifold import SpdPoint, SpectralTangent, identity_eigen
 
@@ -74,6 +74,8 @@ class Objective:
     b: float
 
     def __post_init__(self):
+        object.__setattr__(self, "family", Family(self.family))
+        require(REAL, a=self.a, b=self.b)
         if not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf):
             raise ValueError(f"coefficients must be finite and positive, got a={self.a}, b={self.b}")
 
@@ -180,7 +182,7 @@ def merit_gradient(obj: Objective, p: SpdPoint) -> np.ndarray:
 def minimizer(obj: Objective, dim: int) -> SpdPoint:
     """The global minimizer: (b/a) I for family one, (a/b) I for family two.
 
-    Built from its spectrum alone, in spectral form on the identity basis:
+    Built from its spectrum alone, on the identity basis as its frame:
     ``distance`` reads it as c I off its spectrum, and neither the basis nor
     the matrix diag(c, ..., c) is formed unless read."""
     if dim < 1:
@@ -203,10 +205,10 @@ class GradientField:
     the four operations the damped Newton solver calls (``solver.Problem``).
 
     Any object with the same four methods can be handed to the solver; this
-    class is the concrete instantiation for the two shipped families.  At
-    spectral points (``p.spectral``) the field and the Newton direction are
-    SpectralTangents, so the solver's steps stay O(n); at dense points they
-    are matrices.
+    class is the concrete instantiation for the two shipped families.  The
+    field and the Newton direction are SpectralTangents in the point's
+    frame, so the solver's steps stay O(n); at the frameless view of a
+    dense iteration (``not p.spectral``) they are matrices.
     """
 
     def __init__(self, objective: Objective):

@@ -27,23 +27,19 @@ rejected as unrepresentable (its exponential overflows, or it rounds outside
 the cone) costs a backtrack but no merit evaluation.  Equality with the upper
 bound holds when no trial is rejected that way.
 
-The solver starts from the spectral form of P_0, and every committed
-iterate that is not spectral is put back in spectral form on its
-eigendecomposition.  Neither can fail: a point is factored when it is made,
-and a dense step whose matrix has no positive spectrum raises StepOverflow
-instead.  Problems whose field and Newton direction come back as
-SpectralTangents there (the shipped GradientField) run the same loop in O(n)
-per trial; others return matrices and take dense steps from spectral points,
-whose powers come from the same eigenpair a dense point would factor.  An
-iteration whose iterate or first representable trial point has a spread near
-the rounding floor, where the dense route's outcome is decided by rounding
-(manifold.needs_dense), runs on the dense route instead, from the
-materialized iterate, so statuses and counters match it; a trial that cannot
-be formed at all is backtracked past on either route.  Each iteration
-searches along one manifold.Line, which keeps the trial that check forms for
-the full step or the line search; every trial is one exp_map(p, line, t)
-call.  The iterates after a hand-over agree with a purely dense run only to
-rounding.
+Every point holds its frame, so the solver converts no iterate.  Problems
+whose field and Newton direction come back as SpectralTangents (the shipped
+GradientField) run the loop in O(n) per trial; others return matrices and
+take dense steps, each a point factored when it is made.  An iteration
+whose iterate or first representable trial point has a spread near the
+rounding floor, where the dense route's outcome is decided by rounding
+(manifold.needs_dense), runs on the dense route instead, at the iterate's
+frameless view (SpdPoint._dense), which no caller sees, so statuses and
+counters match it; a trial that cannot be formed is backtracked past on
+either route.  Each iteration searches along one manifold.Line, which keeps
+the trial that check forms for the full step or the line search; every
+trial is one exp_map(p, line, t) call.  The iterates after a hand-over
+agree with a purely dense run only to rounding.
 """
 
 from __future__ import annotations
@@ -57,11 +53,14 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .errors import (
+    INTEGER,
+    REAL,
     InvalidPoint,
     SingularOperator,
     SpectrumDomainError,
     StationaryOfMerit,
     StepOverflow,
+    require,
 )
 from .linalg import quiet
 from .manifold import Line, SpdPoint, SpectralTangent, exp_map, inner, needs_dense, norm
@@ -104,7 +103,7 @@ class Problem(Protocol):
 
     These four methods are all ``solve`` calls.  ``newton_solve`` raises
     SingularOperator when the Newton system has no solution, and
-    ``fallback_direction`` is then -grad phi(P).  At spectral points
+    ``fallback_direction`` is then -grad phi(P).  At a point with a frame
     (``p.spectral``) a problem may return SpectralTangents.
     """
 
@@ -125,6 +124,9 @@ class SolverConfig:
     method: Method = Method.DAMPED
 
     def __post_init__(self):
+        object.__setattr__(self, "method", Method(self.method))
+        require(REAL, sigma=self.sigma, grad_tol=self.grad_tol)
+        require(INTEGER, max_iters=self.max_iters)
         if not (0.0 < self.sigma < 0.5):
             raise ValueError(f"sigma must lie strictly inside (0, 1/2), got {self.sigma}")
         if not 0.0 < self.grad_tol < math.inf:
@@ -275,13 +277,14 @@ def solve(
     statuses.  A field or direction of the wrong shape is the problem's
     fault, not a breakdown: it raises InvalidMatrix or DimMismatch.
     ``on_iterate`` is called as on_iterate(k, P_k) for the start (k = 0)
-    and after every committed step.
+    and after every committed step, and the last committed iterate is
+    returned; each holds its frame.
 
     ``problem``'s methods and ``on_iterate`` run with numpy's floating-point
     warnings off (``linalg.quiet``), as does the rest of the run.
     """
     start = time.perf_counter()
-    p = p0.to_spectral()
+    p = at = p0  # the iterate, and the point its iteration runs at (p or p._dense())
     records: list[IterationRecord] = []
     ge = 0
     k = 0
@@ -292,8 +295,8 @@ def solve(
         on_iterate(0, p0)
     while True:
         try:
-            x = problem.field_value(p)
-            grad_norm = norm(p, x)
+            x = problem.field_value(at)
+            grad_norm = norm(at, x)
         except _BREAKDOWN:
             status = Status.STEP_OVERFLOW
             break
@@ -307,16 +310,16 @@ def solve(
             status = Status.MAX_ITERS
             break
         try:
-            v, kind = direction(problem, p)
-            line = Line(p, v)
+            v, kind = direction(problem, at)
+            line = Line(at, v)
             if needs_dense(line, _STEPS[:1] if full else _STEPS):
-                p = p.to_dense()
+                at = p._dense()
                 continue
             if full:
-                nxt = exp_map(p, line)
+                nxt = exp_map(at, line)
                 alpha, backtracks, trial_evals = 1.0, 0, 0
             else:
-                result = armijo_stepsize(problem, p, line, config.sigma, direction_kind=kind, merit=merit)
+                result = armijo_stepsize(problem, at, line, config.sigma, direction_kind=kind, merit=merit)
                 if not result.accepted:
                     status = Status.LINE_SEARCH_FAILED
                     break
@@ -333,8 +336,7 @@ def solve(
         k += 1
         if on_iterate is not None:
             on_iterate(k, nxt)
-        # Free: a dense step was factored when it was made.
-        p = nxt.to_spectral()
+        p = at = nxt
     elapsed = time.perf_counter() - start
     trace = SolveTrace(
         records=tuple(records),

@@ -7,11 +7,13 @@ plain matrices, so every step the solver takes is a dense one.  Both must give
 the same statuses, counters and per-iteration step decisions.
 """
 
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from rdn.objectives import (
     riemannian_grad,
 )
 from rdn.solver import Method, SolverConfig, Status, solve
+
+from test_bench import census_starts
 
 SEEDS = (42, 3)
 INIT_RANGES = ((9.0, 10.0), (1.0, 10.0))
@@ -86,13 +90,29 @@ class AffineField:
 
 def _both(spec):
     """Solve ``spec`` on both routes; also report whether the spectral run
-    handed over (some iterate arrived without a spectral frame)."""
+    handed over (the solver took the frameless view of some iterate)."""
     obj = spec.objective()
     p0 = random_spd(spec.dim, *spec.init_eig_range, seed=spec.seed)
-    frames = []
-    spectral = solve(GradientField(obj), p0, spec.config(), on_iterate=lambda k, p: frames.append(p.frame))
+    with mock.patch.object(SpdPoint, "_dense", autospec=True, side_effect=SpdPoint._dense) as views:
+        spectral = solve(GradientField(obj), p0, spec.config())
     dense = solve(DenseField(obj), p0, spec.config())
-    return spectral, dense, any(f is None for f in frames[1:])
+    return spectral, dense, views.call_count > 0
+
+
+def _counting_views(monkeypatch):
+    """A list that grows by one for every SpdPoint._dense call from now on:
+    the solver takes that frameless view of its iterate once for each
+    iteration it runs on the dense route."""
+    views = []
+    dense = SpdPoint._dense
+    monkeypatch.setattr(SpdPoint, "_dense", lambda p: views.append(p) or dense(p))
+    return views
+
+
+def _dense_steps(seen):
+    """The iterations run on the dense route, from the view counts that
+    on_iterate saw after each committed iterate."""
+    return [k for k in range(len(seen) - 1) if seen[k + 1] > seen[k]]
 
 
 def _mismatches(spec, spectral, dense):
@@ -208,33 +228,58 @@ def test_overflow_regime_stays_spectral():
 
 
 def test_problems_returning_matrices_take_dense_steps_from_spectral_iterates():
-    # exp_map's dense steps reach on_iterate as they are; the solver then
-    # holds each in spectral form on the factorization its norm reads, with
-    # the same matrix.
+    # exp_map's dense steps reach on_iterate holding as their frame the
+    # factorization they were made with, and the solver goes on from each as
+    # it is.
     obj = Objective(Family.F1, 1.0, 0.1)
     p0 = random_spd(20, 9.0, 10.0, seed=5)
     iterates = []
     point, trace = solve(DenseField(obj), p0, SolverConfig(), on_iterate=lambda k, p: iterates.append(p))
     assert trace.status is Status.CONVERGED and len(iterates) == trace.nit + 1
-    assert all(p.frame is None for p in iterates)
-    assert point.spectral and point.matrix is iterates[-1].matrix
+    assert all(p.frame is not None and p.frame[1] is p.eigen.vectors for p in iterates)
+    assert point is iterates[-1]
 
 
 @pytest.mark.parametrize("seed", (48453, 48921))
-def test_run_returns_to_the_spectral_route_after_a_hand_over(seed):
+def test_run_returns_to_the_spectral_route_after_a_hand_over(seed, monkeypatch):
     # These cells hand over at the first iteration.  That iteration runs on
     # the dense route; the run then continues on the spectral route, and the
     # counters and step decisions stay those of the dense route throughout.
     spec = ExperimentSpec(Family.F2, 0.01, 100, Method.DAMPED, seed=seed, init_eig_range=(1.0, 10.0))
     obj = spec.objective()
     p0 = random_spd(spec.dim, *spec.init_eig_range, seed=spec.seed)
-    spectral = []
-    point, trace = solve(GradientField(obj), p0, spec.config(), on_iterate=lambda k, p: spectral.append(p.spectral))
+    views, seen, framed = _counting_views(monkeypatch), [], []
+    on_iterate = lambda k, p: seen.append(len(views)) or framed.append(p.frame is not None)
+    point, trace = solve(GradientField(obj), p0, spec.config(), on_iterate=on_iterate)
     dense = solve(DenseField(obj), p0, spec.config())
     assert _mismatches(spec, (point, trace), dense) == []
-    dense_steps = [k for k in range(trace.nit) if not spectral[k + 1]]
+    dense_steps = _dense_steps(seen)
     assert dense_steps and dense_steps[-1] < trace.nit - 1
-    assert all(spectral[dense_steps[-1] + 2:]) and point.spectral
+    assert all(framed) and point.frame is not None
+
+
+def test_no_point_without_a_frame_reaches_a_caller(monkeypatch):
+    # The solver runs a hand-over iteration at the frameless view of its
+    # iterate; on_iterate and the caller only ever see points with a frame.
+    census_obj, census_start, k = next(itertools.islice(census_starts(), 14, None))
+    assert (census_obj.family, census_start.dim, k) == (Family.F2, 10, 7) and round(census_obj.ratio, 2) == 155.55
+    views = _counting_views(monkeypatch)
+    runs = [
+        # The hand-over cell converges after a dense first iteration.
+        (GradientField(Objective(Family.F2, 1.0, 0.01)), random_spd(100, 1.0, 10.0, seed=48453), SolverConfig()),
+        # Census run 14 stops inside a dense iteration.
+        (GradientField(census_obj), census_start, SolverConfig(max_iters=2000)),
+    ]
+    outcomes = []
+    for field, p0, config in runs:
+        del views[:]
+        seen = []
+        point, trace = solve(field, p0, config, on_iterate=lambda k, p: seen.append((len(views), p)))
+        assert len(seen) == trace.nit + 1 and all(p.frame is not None for _, p in seen)
+        assert point is seen[-1][1]
+        counts = [c for c, _ in seen]
+        outcomes.append((trace.status, trace.nit, len(_dense_steps(counts)) >= 1, len(views) > counts[-1]))
+    assert outcomes == [(Status.CONVERGED, 7, True, False), (Status.LINE_SEARCH_FAILED, 16, True, True)]
 
 
 def _run_hex(run):
@@ -277,17 +322,19 @@ def test_a_line_s_shared_whitened_eigenpair_keeps_every_run_bit_for_bit(field, f
 _ROUNDING_FLOOR_CELLS = """
 import json
 from rdn.bench import ExperimentSpec
-from rdn.manifold import random_spd
+from rdn.manifold import SpdPoint, random_spd
 from rdn.objectives import Family, GradientField
 from rdn.solver import Method, solve
 
+dense, views = SpdPoint._dense, []
+SpdPoint._dense = lambda p: views.append(p) or dense(p)
 out = {}
 for seed in (48453, 48921):
     spec = ExperimentSpec(Family.F2, 0.01, 100, Method.DAMPED, seed=seed, init_eig_range=(1.0, 10.0))
     p0 = random_spd(spec.dim, *spec.init_eig_range, seed=spec.seed)
-    spectral = []
-    _, t = solve(GradientField(spec.objective()), p0, spec.config(), on_iterate=lambda k, p: spectral.append(p.spectral))
-    dense_steps = [k for k in range(t.nit) if not spectral[k + 1]]
+    seen = []
+    _, t = solve(GradientField(spec.objective()), p0, spec.config(), on_iterate=lambda k, p: seen.append(len(views)))
+    dense_steps = [k for k in range(t.nit) if seen[k + 1] > seen[k]]
     out[seed] = [t.status.value, t.nit, t.he, t.ge, [r.backtracks for r in t.records], dense_steps]
 print(json.dumps(out))
 """

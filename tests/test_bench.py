@@ -51,6 +51,36 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             spec(**{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("ratio", "0.1"),
+            ("ratio", True),
+            ("init_eig_range", ("1", "2")),
+            ("sigma", "0.1"),
+            ("grad_tol", None),
+            ("seed", True),
+            ("dim", True),
+            ("max_iters", 2.5),
+            ("max_iters", True),
+        ],
+    )
+    def test_rejects_an_ill_typed_field_by_name(self, field, value):
+        # Library callers get a ValueError naming the field, where these
+        # raised a bare TypeError or were accepted.
+        with pytest.raises(ValueError, match=field):
+            spec(**{field: value})
+
+    def test_family_and_method_given_as_strings_run_as_their_enums(self):
+        got = run_experiment(ExperimentSpec("f1", 0.1, 3, "full", 0))
+        want = run_experiment(ExperimentSpec(Family.F1, 0.1, 3, Method.FULL, 0))
+        assert got.spec.family is Family.F1 and got.spec.method is Method.FULL
+        assert (got.status, got.nit, got.ge) == (want.status, want.nit, want.ge)
+        with pytest.raises(ValueError, match="Family"):
+            spec(family="f3")
+        with pytest.raises(ValueError, match="Method"):
+            spec(method="newton")
+
     def test_numpy_integer_seed_and_dimension_give_the_run_of_python_integers(self):
         a = run_experiment(spec(dim=np.int64(5), seed=np.uint32(7)))
         b = run_experiment(spec(dim=5, seed=7))
@@ -260,8 +290,8 @@ def test_hostile_ratios_end_in_a_status(family, method, log_ratio, dim, seed, lo
     assert result.nit == len(result.trace.records)
 
 
-def _ill_conditioned_census():
-    """(k, status) of 600 damped runs from starts with eigenvalues
+def census_starts():
+    """(objective, start, k) of the 600 census runs: starts with eigenvalues
     10^U(-k, k), k = 1..8, on a Gaussian QR basis, at ratios 10^U(-3, 3):
     family f1 on odd i and f2 on even i, n in 1..10."""
     rng = np.random.default_rng(7)
@@ -272,8 +302,13 @@ def _ill_conditioned_census():
         k = int(rng.integers(1, 9))
         lam = 10.0 ** rng.uniform(-k, k, n)
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        start = SpdPoint((q * lam) @ q.T)
-        _, trace = solve(GradientField(Objective(family, 1.0, ratio)), start, SolverConfig(max_iters=2000))
+        yield Objective(family, 1.0, ratio), SpdPoint((q * lam) @ q.T), k
+
+
+def _ill_conditioned_census():
+    """(k, status) of the census's 600 damped runs."""
+    for obj, start, k in census_starts():
+        _, trace = solve(GradientField(obj), start, SolverConfig(max_iters=2000))
         yield k, trace.status
 
 
@@ -421,10 +456,10 @@ def test_one_error_state_per_run(monkeypatch, family, ratio, method, seed, init_
             made.append(kwargs)
             super().__init__(**kwargs)
 
-    to_dense = SpdPoint.to_dense
+    dense = SpdPoint._dense
     np.random.default_rng(0)  # numpy.random enters an errstate of its own on first import
     monkeypatch.setattr(np, "errstate", CountingErrstate)
-    monkeypatch.setattr(SpdPoint, "to_dense", lambda p: handed_over.append(p) or to_dense(p))
+    monkeypatch.setattr(SpdPoint, "_dense", lambda p: handed_over.append(p) or dense(p))
     result = run_experiment(ExperimentSpec(family, ratio, 100, method, seed, init_eig_range=init_range))
     assert (result.status, result.nit, len(handed_over)) == (Status.CONVERGED.value, nit, dense_steps)
     assert made == [{"all": "ignore"}]

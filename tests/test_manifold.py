@@ -81,9 +81,34 @@ class TestSpdPoint:
             made += 1
             assert p.eigen.values[0] > 0.0 and np.isfinite(p.eigen.values).all()
             assert np.array_equal(p.spectrum, p.eigen.values)
-            assert np.array_equal(p.to_spectral().spectrum, p.spectrum)
+            assert p.spectral and p.frame[0] is p.spectrum and p.frame[1] is p.eigen.vectors
             assert np.isfinite(p.inv_sqrt()).all()
         assert 0 < made < len(matrices)
+
+    def test_every_constructor_returns_a_point_with_its_frame(self, monkeypatch):
+        # Frames are held on the factorization a point is made with: eigh's
+        # for a matrix, the lazy QR basis for a random start (still undrawn).
+        drawn = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: (drawn.append(a.shape), qr(a))[1])
+        start = random_spd(4, 1.0, 10.0, seed=3)
+        assert start.spectral and drawn == []
+        made = SpdPoint(start.matrix)
+        assert drawn == [(4, 4)]
+        points = [
+            start,
+            made,
+            SpdPoint.from_frame(np.array([2.0, 1.0]), np.eye(2)),
+            objectives.minimizer(objectives.Objective(objectives.Family.F1, 1.0, 2.0), 3),
+            exp_map(made, SpectralTangent(np.full(4, 0.1))),
+            exp_map(made, 0.1 * np.eye(4)),  # dense, series
+            exp_map(made, random_symmetric(np.random.default_rng(3), 4)),  # dense, factored
+        ]
+        for p in points:
+            assert p.spectral and p.frame is not None
+            values, basis = p.frame
+            assert np.allclose((basis * values) @ basis.T, p.matrix, rtol=0, atol=1e-12 * values.max())
+        assert made.frame[0] is made.eigen.values and made.frame[1] is made.eigen.vectors
 
     def test_rejects_dimension_zero(self):
         # As from_frame and random_spd do: a 0 x 0 point has no eigenvalue to
@@ -127,19 +152,20 @@ class TestSpdPoint:
 
         other = SpdPoint(random_spd(40, 1.0, 10.0, seed=6).matrix)  # distance reads its matrix
         monkeypatch.setattr(manifold.EigenPair, "reconstruct", formed)
-        p = random_spd(40, 1.0, 10.0, seed=5).to_spectral()
+        p = random_spd(40, 1.0, 10.0, seed=5)
         s = p.inv_sqrt()
         assert p.sqrt() is p.power(0.5) and p.inv() is p.power(-1.0) and p.power(-0.5) is s
         assert p.power(2.0) is p.power(2.0) and not p.power(2.0).flags.writeable
-        # The other form shares the eigenpair, not the powers: it forms its
+        # A frameless view shares the eigenpair, not the powers: it forms its
         # own P^t from that pair, with the same bits.
-        dense = p.to_dense()
+        dense = p._dense()
         assert dense.eigen is p.eigen and dense.power(-0.5) is not s
         assert dense.power(-0.5).tobytes() == s.tobytes()
-        again = dense.to_spectral()
-        assert again.eigen is p.eigen and again.power(2.0).tobytes() == p.power(2.0).tobytes()
+        again = p._dense()
+        assert again is not dense and again.eigen is p.eigen
+        assert again.power(2.0).tobytes() == p.power(2.0).tobytes()
         obj = objectives.Objective(objectives.Family.F2, 1.0, 0.5)
-        objectives.newton_solve(obj, p.to_dense())
+        objectives.newton_solve(obj, dense)
         assert distance(p, other) > 0.0
         monkeypatch.undo()
         assert np.allclose(s @ p.matrix @ s, np.eye(40), rtol=0, atol=1e-12)
@@ -167,11 +193,11 @@ class TestInnerAndNorm:
     @pytest.mark.parametrize("spectral_first", [True, False], ids=["spectral-matrix", "matrix-spectral"])
     def test_inner_of_a_spectral_tangent_and_a_matrix_raises(self, spectral_first):
         # DimMismatch, as norm and exp_map raise for a spectral tangent at a
-        # dense point; at a spectral point and at a dense one alike.
-        p = random_spd(3, 1.0, 3.0, seed=4).to_spectral()
+        # point without a frame; at a point and at its frameless view alike.
+        p = random_spd(3, 1.0, 3.0, seed=4)
         u, v = SpectralTangent(np.ones(3)), np.eye(3)
         args = (u, v) if spectral_first else (v, u)
-        for at in (p, p.to_dense()):
+        for at in (p, p._dense()):
             with pytest.raises(DimMismatch, match="spectral tangent and a matrix"):
                 inner(at, *args)
 
@@ -186,26 +212,25 @@ class TestInnerAndNorm:
 
     def test_norm_rescales_only_where_the_sum_of_squares_overflows_or_underflows(self):
         p = SpdPoint(np.eye(3))
-        spectral = p.to_spectral()
         assert norm(p, 1e200 * np.eye(3)) == 1e200 * np.sqrt(3.0)
-        assert norm(spectral, SpectralTangent(np.full(3, 1e200))) == 1e200 * np.sqrt(3.0)
+        assert norm(p, SpectralTangent(np.full(3, 1e200))) == 1e200 * np.sqrt(3.0)
         # Beyond the float range, or with non-finite entries, it stays inf.
         assert norm(SpdPoint(np.eye(9)), 8e307 * np.eye(9)) == np.inf
-        assert norm(spectral, SpectralTangent(np.array([1.0, np.inf, 1.0]))) == np.inf
+        assert norm(p, SpectralTangent(np.array([1.0, np.inf, 1.0]))) == np.inf
         # Where the plain norm is finite its bits are kept.
         rng = np.random.default_rng(4)
         v = random_symmetric(rng, 3, scale=1e150)
         assert norm(p, v) == float(np.linalg.norm(v, "fro"))
         c = rng.standard_normal(3) * 1e150
-        assert norm(spectral, SpectralTangent(c)) == float(np.linalg.norm(c))
+        assert norm(p, SpectralTangent(c)) == float(np.linalg.norm(c))
         # Where the squares are subnormal or zero, it rescales: zero only for V = 0.
         p2 = SpdPoint(np.eye(2))
         for scale in (1e-160, 1e-170, 5e-324):
             exact = scale * np.sqrt(2.0)
-            for r in (norm(p2, scale * np.eye(2)), norm(p2.to_spectral(), SpectralTangent(np.full(2, scale)))):
+            for r in (norm(p2, scale * np.eye(2)), norm(p2, SpectralTangent(np.full(2, scale)))):
                 assert abs(r - exact) <= np.spacing(exact)
         assert norm(p2, np.zeros((2, 2))) == 0.0
-        assert norm(p2.to_spectral(), SpectralTangent(np.zeros(2))) == 0.0
+        assert norm(p2, SpectralTangent(np.zeros(2))) == 0.0
 
     @given(st.integers(0, 10**6), st.integers(1, 8))
     @settings(deadline=None)
@@ -302,13 +327,12 @@ class TestExpMap:
         p = random_spd(5, 0.5, 3.0, seed=11)
         for v in (random_symmetric(rng, 5), 1e-8 * random_symmetric(rng, 5)):  # factored and series
             assert exp_map(p, v, t).matrix.tobytes() == exp_map(p, t * v).matrix.tobytes()
-        s = p.to_spectral()
         v = SpectralTangent(rng.uniform(-2.0, 2.0, 5))
-        assert exp_map(s, v, t).spectrum.tobytes() == exp_map(s, t * v).spectrum.tobytes()
+        assert exp_map(p, v, t).spectrum.tobytes() == exp_map(p, t * v).spectrum.tobytes()
 
 
 def test_error_state_is_the_callers_after_an_overflowing_step():
-    p = SpdPoint(np.eye(3)).to_spectral()
+    p = SpdPoint(np.eye(3))
     with np.errstate(all="raise", under="ignore"):
         caller = np.geterr()
         with pytest.raises(StepOverflow):
@@ -434,9 +458,14 @@ class TestDistance:
             distance(SpdPoint(np.eye(2)), SpdPoint(np.eye(3)))
 
     def test_scalar_argument_matches_dense_route(self):
+        # Scalar detection reads the spectrum: eigh resolves the 1e-18
+        # perturbation into unequal eigenvalues, so c takes the general route
+        # and c_exact the scalar one.
         p = random_spd(7, 0.5, 4.0, seed=12)
-        c = SpdPoint(2.5 * np.eye(7) + 1e-18 * symmetrize(np.ones((7, 7))))  # not detected as scalar
+        c = SpdPoint(2.5 * np.eye(7) + 1e-18 * symmetrize(np.ones((7, 7))))
         c_exact = SpdPoint(2.5 * np.eye(7))
+        assert manifold._scalar_coefficient(c) is None and manifold._scalar_coefficient(c_exact) == 2.5
+        assert manifold._scalar_coefficient(p) is None
         assert distance(p, c_exact) == pytest.approx(distance(p, c), rel=1e-9)
 
     @given(st.integers(0, 10**6), st.integers(1, 6), st.floats(-2.0, 2.0))
@@ -511,7 +540,7 @@ class TestRandomSpd:
 class TestSpectralSeam:
     def test_spectral_operations_match_the_dense_route(self):
         rng = np.random.default_rng(15)
-        p = random_spd(6, 0.5, 3.0, seed=15).to_spectral()
+        p = random_spd(6, 0.5, 3.0, seed=15)
         basis = p.frame[1]
         cu, cv = rng.standard_normal(6), rng.standard_normal(6)
         u, v = SpectralTangent(cu), SpectralTangent(cv)
@@ -603,12 +632,13 @@ class TestSpectralSeam:
         rng = np.random.default_rng(16)
         basis, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         p = SpdPoint.from_frame(np.array([3.0, 1.0, 2.0, 5.0, 4.0]), basis)
-        dense = p.to_dense()
-        assert dense.frame is None
+        dense = p._dense()
+        assert dense.frame is None and dense.eigen is p.eigen
         assert np.array_equal(dense.eigen.values, np.arange(1.0, 6.0))
         assert np.allclose(dense.matrix, p.matrix, rtol=0, atol=1e-13)
-        again = dense.to_spectral()
-        assert again.eigen is dense.eigen and again.matrix is dense.matrix
+        # A view made once the matrix is formed shares it.
+        again = p._dense()
+        assert again.eigen is dense.eigen and again.matrix is p.matrix
 
 
 def _counting_exp(monkeypatch):
@@ -635,7 +665,7 @@ class TestSharedTrial:
     returns it only for that step of that line."""
 
     def _setup(self):
-        p = random_spd(6, 1.0, 10.0, seed=21).to_spectral()
+        p = random_spd(6, 1.0, 10.0, seed=21)
         v = SpectralTangent(np.random.default_rng(21).uniform(-2.0, 2.0, 6))
         return p, v, Line(p, v)
 
@@ -711,12 +741,12 @@ def test_line_steps_at_another_point_raise():
     # A line belongs to the point it was made at.  An equal point held in
     # another object is another point: stepping there raises instead of
     # reading the trial or the factorization the line keeps.
-    p, twin = (random_spd(3, 1.0, 3.0, seed=9).to_spectral() for _ in range(2))
-    dense = Line(p.to_dense(), random_symmetric(np.random.default_rng(9), 3))
+    p, twin = (random_spd(3, 1.0, 3.0, seed=9) for _ in range(2))
+    dense = Line(p._dense(), random_symmetric(np.random.default_rng(9), 3))
     exp_map(dense.point, dense, 0.5)
     spectral = Line(p, SpectralTangent(np.ones(3)))
     assert not needs_dense(spectral, np.ones(1))
-    for line, at in ((dense, twin.to_dense()), (spectral, twin)):
+    for line, at in ((dense, twin._dense()), (spectral, twin)):
         for t in (1.0, 0.5):
             with pytest.raises(DimMismatch):
                 exp_map(at, line, t)
@@ -879,25 +909,25 @@ class TestLazyStart:
     def test_matches_the_eager_recipe(self, dim, seed):
         lam, q, m = _eager_random_spd(dim, 1.0, 10.0, seed)
         p = random_spd(dim, 1.0, 10.0, seed=seed)
-        assert p.frame is None and not p.spectral
+        assert p.spectral and p.spectrum is p.eigen.values
         assert np.array_equal(p.spectrum, lam)
         assert np.array_equal(p.matrix, m)
         assert np.array_equal(p.eigen.values, lam) and np.array_equal(p.eigen.vectors, q)
-        # Eigendecomposition first, then through the spectral form.
+        # Eigendecomposition first, then through the frame.
         other = random_spd(dim, 1.0, 10.0, seed=seed)
         assert np.array_equal(other.eigen.vectors, q) and np.array_equal(other.matrix, m)
-        spectral = random_spd(dim, 1.0, 10.0, seed=seed).to_spectral()
-        assert np.array_equal(spectral.frame[1], q) and np.array_equal(spectral.matrix, m)
+        framed = random_spd(dim, 1.0, 10.0, seed=seed)
+        assert np.array_equal(framed.frame[1], q) and np.array_equal(framed.matrix, m)
 
     def test_spectral_form_draws_no_basis(self, monkeypatch):
         drawn = []
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda a: (drawn.append(a.shape), qr(a))[1])
-        p = random_spd(50, 1.0, 10.0, seed=8).to_spectral()
+        p = random_spd(50, 1.0, 10.0, seed=8)
         step = exp_map(p, SpectralTangent(-0.1 * p.spectrum))
         assert p.spectral and step.spectral and p.dim == step.dim == 50 and drawn == []
         assert step.frame[1] is p.frame[1] and drawn == [(50, 50)]
-        assert p.to_dense().eigen is p.eigen and drawn == [(50, 50)]
+        assert p._dense().eigen is p.eigen and drawn == [(50, 50)]
 
     def test_lazy_factorization_draws_only_for_its_vectors(self, monkeypatch):
         drawn = []
@@ -905,10 +935,10 @@ class TestLazyStart:
         monkeypatch.setattr(np.linalg, "qr", lambda a: (drawn.append(a.shape), qr(a))[1])
         p = random_spd(50, 1.0, 10.0, seed=8)
         assert p.eigen.dim == 50 and np.array_equal(p.eigen.values, p.spectrum)
-        assert p.to_spectral().eigen is p.eigen and drawn == []
+        assert p._dense().eigen is p.eigen and drawn == []
         vectors = p.eigen.vectors
         assert drawn == [(50, 50)]
-        assert p.eigen.vectors is vectors and p.to_spectral().frame[1] is vectors
+        assert p.eigen.vectors is vectors and p.frame[1] is vectors
         assert p.matrix.shape == (50, 50) and drawn == [(50, 50)]
 
     def test_threads_reading_one_fresh_point_agree(self, monkeypatch):
@@ -939,30 +969,29 @@ class TestLazyStart:
         expected = _eager_random_spd(200, 1.0, 10.0, 4)[2]
         assert all(np.array_equal(m, expected) for m in seen)
 
-    def test_to_dense_gives_back_the_arrays_made_spectral(self):
+    def test_dense_view_shares_the_arrays_of_its_point(self):
         p = SpdPoint(random_spd(5, 1.0, 10.0, seed=2).matrix)
-        spectral = p.to_spectral()
-        back = spectral.to_dense()
+        back = p._dense()
         assert back.frame is None and not back.spectral
         assert back.matrix is p.matrix and back.eigen is p.eigen
         start = random_spd(5, 1.0, 10.0, seed=2)
-        back = start.to_spectral().to_dense()
+        back = start._dense()
         assert back.eigen is start.eigen and np.array_equal(back.matrix, start.matrix)
-        # The spectral form shares the start's own factorization, not one
-        # rebuilt from its frame: the basis copy that rebuild makes holds the
-        # same values in another memory layout, and the dense route's products
-        # then round differently (f2 0.01 n=100 damped seed 48453, start range
-        # 1,10, on one OpenBLAS thread: GE 18 instead of 19).
+        # A start's frame is its own factorization, not one rebuilt from the
+        # frame: the basis copy that rebuild makes holds the same values in
+        # another memory layout, and the dense route's products then round
+        # differently (f2 0.01 n=100 damped seed 48453, start range 1,10, on
+        # one OpenBLAS thread: GE 18 instead of 19).
         fresh = random_spd(5, 1.0, 10.0, seed=2)
-        assert fresh.to_spectral().eigen is fresh.eigen
+        assert fresh._dense().eigen is fresh.eigen and fresh.frame[1] is fresh.eigen.vectors
 
     def test_matrix_is_formed_from_the_ascending_factorization(self):
         # A spectral step can reorder the frame; its matrix is still the one
-        # its dense form holds, so reading it first changes nothing.
+        # its frameless view holds, so reading it first changes nothing.
         basis = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))[0]
         values = np.array([3.0, 1.0, 2.0, 6.0, 5.0, 4.0])
         read_first = SpdPoint.from_frame(values, basis)
         formed = read_first.matrix
-        dense = SpdPoint.from_frame(values, basis).to_dense()
+        dense = SpdPoint.from_frame(values, basis)._dense()
         assert np.array_equal(formed, dense.matrix)
-        assert read_first.to_dense().matrix is formed
+        assert read_first._dense().matrix is formed

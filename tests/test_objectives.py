@@ -19,6 +19,7 @@ from rdn.objectives import (
     riemannian_grad,
     value,
 )
+from rdn.solver import solve
 
 F1 = Family.F1
 F2 = Family.F2
@@ -44,6 +45,20 @@ class TestObjective:
 
     def test_ratio(self):
         assert Objective(F2, 2.0, 1.0).ratio == 0.5
+
+    @pytest.mark.parametrize("a,b", [("1", 0.1), (1.0, None), (True, 0.1)], ids=["str", "none", "bool"])
+    def test_coefficients_must_be_real_numbers(self, a, b):
+        with pytest.raises(ValueError, match="must be a real number"):
+            Objective(F1, a, b)
+
+    def test_family_given_as_a_string_is_its_enum(self):
+        # "f1" once failed the family-one test and solved family two.
+        obj = Objective("f1", 1.0, 0.1)
+        assert obj.family is F1
+        point, trace = solve(GradientField(obj), random_spd(3, 9.0, 10.0, seed=1))
+        assert trace.nit == 6 and np.allclose(point.spectrum, 0.1, rtol=1e-8, atol=0.0)
+        with pytest.raises(ValueError, match="Family"):
+            Objective("f3", 1.0, 0.1)
 
 
 class TestValue:
@@ -322,7 +337,10 @@ class TestGradientField:
         obj = Objective(F1, 1.0, 0.2)
         field = GradientField(obj)
         p = random_spd(4, 0.5, 2.0, seed=41)
-        assert np.array_equal(field.field_value(p), riemannian_grad(obj, p))
+        # In the point's frame, and as the matrix at its frameless view.
+        values, basis = p.frame
+        assert np.allclose((basis * field.field_value(p).coeffs) @ basis.T, riemannian_grad(obj, p), rtol=0, atol=1e-14)
+        assert np.array_equal(field.field_value(p._dense()), riemannian_grad(obj, p))
         assert np.array_equal(field.fallback_direction(p), -merit_gradient(obj, p))
         assert field.merit_value(p) == merit_value(obj, p)
 

@@ -9,7 +9,7 @@ from rdn.bench import table1_grid
 from rdn.errors import DimMismatch, InvalidMatrix, InvalidPoint, SingularOperator, StationaryOfMerit
 from rdn.linalg import symmetrize
 from rdn.manifold import SpdPoint, SpectralTangent, exp_map, inner, norm, random_spd
-from rdn.objectives import Family, GradientField, Objective, minimizer
+from rdn.objectives import Family, GradientField, Objective, minimizer, newton_solve
 from rdn.solver import (
     ArmijoResult,
     DirectionKind,
@@ -116,12 +116,32 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(max_iters=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("sigma", "0.1"), ("sigma", True), ("grad_tol", None), ("max_iters", 2.5), ("max_iters", True)],
+    )
+    def test_rejects_an_ill_typed_field_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
+
+    def test_method_given_as_a_string_is_its_enum(self):
+        # "full" once failed the full-step test and ran the damped method.
+        config = SolverConfig(method="full")
+        assert config.method is Method.FULL
+        p0 = random_spd(3, 9.0, 10.0, seed=1)
+        _, got = solve(f1_problem(), p0, config)
+        _, want = solve(f1_problem(), p0, SolverConfig(method=Method.FULL))
+        assert (got.status, got.nit, got.ge, got.records) == (want.status, want.nit, want.ge, want.records)
+        assert got.ge == got.nit
+        with pytest.raises(ValueError, match="Method"):
+            SolverConfig(method="newton")
+
 
 class TestDirection:
     def test_newton_direction_scalar(self):
         v, kind = direction(f1_problem(), SpdPoint(np.array([[1.0]])))
         assert kind is DirectionKind.NEWTON
-        assert v[0, 0] == pytest.approx(-9.0, rel=1e-13)
+        assert isinstance(v, SpectralTangent) and v.coeffs[0] == pytest.approx(-9.0, rel=1e-13)
 
     def test_singular_system_falls_back_to_merit_descent(self):
         field = ConstantField(np.eye(3))
@@ -183,7 +203,7 @@ class TestArmijo:
         # for each trial point made; backtracked trials scale the first.
         problem = f1_problem()
         p = SpdPoint(random_spd(6, 9.0, 10.0, seed=1).matrix)
-        v = problem.newton_solve(p)
+        v = newton_solve(problem.objective, p)
         assert isinstance(v, np.ndarray)
         calls = []
         eigh = np.linalg.eigh
@@ -425,7 +445,7 @@ def test_a_thread_started_from_on_iterate_has_its_own_error_state():
     # The solver's error state belongs to its own thread: a direct norm in
     # a new thread sets its own, and its overflowing sum of squares warns
     # nowhere.
-    p = SpdPoint(np.eye(3)).to_spectral()
+    p = SpdPoint(np.eye(3))
     seen, errors = [], []
 
     def measure():
