@@ -73,7 +73,10 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "method", Method(self.method))
-        low, high = self.init_eig_range
+        try:
+            low, high = self.init_eig_range
+        except (TypeError, ValueError):
+            raise ValueError(f"init_eig_range must be a pair (low, high), got {self.init_eig_range!r}") from None
         require(REAL, ratio=self.ratio, init_eig_range_low=low, init_eig_range_high=high)
         require(INTEGER, dim=self.dim, seed=self.seed)
         if not 0.0 < self.ratio < float("inf"):

@@ -38,9 +38,9 @@ first representable trial of an iteration and keeps it on the line, and
 ``exp_map`` returns it for that step of the line instead of forming it
 again.
 Where the dense route's outcome is decided by rounding noise (a spread
-lambda_min / lambda_max below 1e-13 at the iterate or at its first trial
-that can be formed), ``needs_dense`` tells the solver to run that
-iteration on the dense route, at the iterate's frameless view
+lambda_min / lambda_max below 1e-13 at the first trial that can be
+formed), ``needs_dense`` tells the solver to run that iteration on the
+dense route, at the iterate's frameless view
 (``SpdPoint._dense``, which shares its eigenpair and matrix); the dense
 step holds its own eigendecomposition as its frame, so the next iteration
 is spectral again.  A trial that ``exp_map`` rejects as unrepresentable (not
@@ -96,8 +96,8 @@ __all__ = [
 # Cholesky and eigh of the materialized matrix accept or reject it by rounding
 # noise (random n = 100 frames: 2 of 40 accepted at 1e-18, none at 1e-19), and
 # lyapunov_solve's singularity guard fires at a spread of 5e-15.  An iteration
-# whose iterate, or first trial point that exp_map can form, has a spread
-# below it runs on the dense route instead (``needs_dense``).
+# whose first trial point that exp_map can form has a spread below it runs on
+# the dense route instead (``needs_dense``).
 _HANDOVER_SPREAD = 1e-13
 # A spectral step below this spread, under the unit roundoff 2^-53, has no
 # positive definite matrix form; exp_map rejects it as unrepresentable.
@@ -157,9 +157,7 @@ class SpdPoint:
     # _values/_basis: the frame, its basis held as the EigenPair it came
     # from (possibly a random start's, not drawn yet); None on a view.
     # _powers: P^t by exponent t, once this object formed it.
-    # _in_bounds: True only on a spectral step whose eigenvalues are the
-    # very array needs_dense found at or above the hand-over spread (Line._trial).
-    __slots__ = ("_matrix", "_eigen", "_values", "_basis", "_powers", "_in_bounds")
+    __slots__ = ("_matrix", "_eigen", "_values", "_basis", "_powers")
 
     def __init__(self, matrix: np.ndarray):
         m = symmetrize(matrix)
@@ -185,27 +183,25 @@ class SpdPoint:
             raise InvalidPoint("matrix is not numerically positive definite")
         self._set(pair, pair.values, pair, m)
 
-    def _set(self, eigen, values, basis, matrix=None, in_bounds=False) -> "SpdPoint":
-        """Set the six slots; every point is made here."""
+    def _set(self, eigen, values, basis, matrix=None) -> "SpdPoint":
+        """Set the five slots; every point is made here."""
         self._matrix = matrix
         self._eigen = eigen
         self._values = values
         self._basis = basis
         self._powers = {}
-        self._in_bounds = in_bounds
         return self
 
     @classmethod
     def _from_spectrum(
-        cls, values: np.ndarray, eigen: EigenPair | None, basis: EigenPair, *, checked: bool = False,
-        in_bounds: bool = False,
+        cls, values: np.ndarray, eigen: EigenPair | None, basis: EigenPair, *, checked: bool = False
     ) -> "SpdPoint":
         """A point on the frame (``values``, the vectors of ``basis``), with the
         (possibly lazy) ascending factorization ``eigen`` if known; its matrix
         unformed.  ``checked`` vouches that ``values`` are finite and strictly positive."""
         if not (checked or (np.isfinite(values).all() and values.min() > 0.0)):
             raise InvalidPoint("spectrum is not finite and strictly positive")
-        return object.__new__(cls)._set(eigen, values, basis, None, in_bounds)
+        return object.__new__(cls)._set(eigen, values, basis)
 
     @classmethod
     def from_frame(cls, values: np.ndarray, basis: np.ndarray) -> "SpdPoint":
@@ -484,7 +480,7 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
     if isinstance(v, SpectralTangent):
         kept = line._trial
         if kept is not None and kept[0] == t:
-            return SpdPoint._from_spectrum(kept[1], None, p._basis, checked=True, in_bounds=True)
+            return SpdPoint._from_spectrum(kept[1], None, p._basis, checked=True)
         values, spread = _spectral_trial(p._values, v.coeffs, t)
         if not spread >= _ROUNDING_FLOOR:
             raise StepOverflow("exponential-map result overflowed or rounded outside the cone")
@@ -511,30 +507,24 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
 def needs_dense(line: Line, steps: Iterable[float]) -> bool:
     """Whether an iteration along ``line`` belongs on the dense route.
 
-    True when the line's direction is a SpectralTangent and its point or its
-    first representable trial exp_P(t V), t in ``steps`` largest first, has
-    a spread lambda_min / lambda_max below 1e-13, where the dense route's
-    outcome is decided by rounding; the solver then runs the iteration at
-    ``line.point._dense()``.  A trial is representable if its spread is at
-    least the rounding floor 1e-17; exp_map rejects any other as
-    StepOverflow, so it needs no hand-over and the line search backtracks
-    past it (the paper's step 2 skips a trial that cannot be formed).
+    True when the line's direction is a SpectralTangent and its first
+    representable trial exp_P(t V), t in ``steps`` largest first, has a
+    spread lambda_min / lambda_max in [1e-17, 1e-13), where the dense
+    route's outcome is decided by rounding; the solver then runs the
+    iteration at ``line.point._dense()``.  A trial is representable if its
+    spread is at least the rounding floor 1e-17; exp_map rejects any other
+    as StepOverflow, so it needs no hand-over and the line search backtracks
+    past it (the paper's step 2 skips a trial that cannot be formed).  The
+    iterate's own spread is not read.
 
-    Only that first representable trial is formed: the log of a trial
-    eigenvalue, log lambda + t c / lambda, is affine in t, so the log-spread
-    is concave in t, and the spread bound, like representability, holds on
-    an interval of steps starting at t = 0.  A trial at or above 1e-13
-    therefore vouches for every smaller step.  It is formed by exp_map's
-    formula and kept on the line, which returns it for
-    ``exp_map(point, line, t)`` without forming it again.  A point that is
-    such a kept trial is not checked again.
+    Only that first representable trial is formed, by exp_map's formula,
+    and it is kept on the line, which returns it for
+    ``exp_map(point, line, t)`` without forming it again.
     """
-    p, v = line.point, line.direction
+    v = line.direction
     if not isinstance(v, SpectralTangent):
         return False
-    values, c = p._values, v.coeffs
-    if not (p._in_bounds or _spread(values) >= _HANDOVER_SPREAD):
-        return True
+    values, c = line.point._values, v.coeffs
     for t in steps:
         trial, spread = _spectral_trial(values, c, t)
         if spread >= _HANDOVER_SPREAD:

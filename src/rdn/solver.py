@@ -31,8 +31,8 @@ Every point holds its frame, so the solver converts no iterate.  Problems
 whose field and Newton direction come back as SpectralTangents (the shipped
 GradientField) run the loop in O(n) per trial; others return matrices and
 take dense steps, each a point factored when it is made.  An iteration
-whose iterate or first representable trial point has a spread near the
-rounding floor, where the dense route's outcome is decided by rounding
+whose first representable trial point has a spread near the rounding
+floor, where the dense route's outcome is decided by rounding
 (manifold.needs_dense), runs on the dense route instead, at the iterate's
 frameless view (SpdPoint._dense), which no caller sees, so statuses and
 counters match it; a trial that cannot be formed is backtracked past on

@@ -9,16 +9,17 @@ method can be run on the start's eigenvalues with no matrix at all:
     trial at step t              lambda e^{t w},
     merit                        phi = sum r^2 / 2,  r = a - b / lambda (f1),  a - b lambda (f2).
 
-``exact_run`` does so in ``decimal`` at 40 digits, from the float start
-eigenvalues and the float coefficients, sigma and tolerance taken exactly.
+``exact_iterations`` does so in ``decimal`` at 40 digits, from given float
+start eigenvalues and the float coefficients, sigma and tolerance taken
+exactly; ``exact_run`` starts it from a benchmark cell's seeded start.
 """
 
 from decimal import Context, Decimal, DivisionByZero, InvalidOperation, MAX_EMAX, MIN_EMIN, localcontext
 
 from rdn.bench import ExperimentSpec
 from rdn.manifold import random_spd
-from rdn.objectives import Family
-from rdn.solver import Method
+from rdn.objectives import Family, Objective
+from rdn.solver import Method, SolverConfig
 
 _CONTEXT = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[InvalidOperation, DivisionByZero])
 _DBL_MAX = Decimal(1.7976931348623157e308)
@@ -36,7 +37,14 @@ def _representable(values):
 
 def exact_run(spec: ExperimentSpec) -> tuple[str, int, int, list[int]]:
     """(status, NIT, GE, backtracks per iteration) of ``spec``'s run in exact
-    arithmetic.
+    arithmetic, from the eigenvalues of its seeded float start."""
+    start = random_spd(spec.dim, *spec.init_eig_range, seed=spec.seed).spectrum
+    return exact_iterations(spec.objective(), start, spec.config())
+
+
+def exact_iterations(obj: Objective, start, config: SolverConfig) -> tuple[str, int, int, list[int]]:
+    """(status, NIT, GE, backtracks per iteration) of the run of ``obj`` from
+    the float eigenvalues ``start`` under ``config``, in exact arithmetic.
 
     The counters follow ``rdn.solver``: each committed iteration counts one
     gradient evaluation and each merit evaluation of a damped line search one
@@ -46,18 +54,18 @@ def exact_run(spec: ExperimentSpec) -> tuple[str, int, int, list[int]]:
     represented ends the run as ``step_overflow``.
     """
     with localcontext(_CONTEXT):
-        a, b = Decimal(1.0), Decimal(spec.ratio)
-        sigma, tol2 = Decimal(spec.sigma), Decimal(spec.grad_tol) ** 2
-        f1 = spec.family is Family.F1
-        lam = [Decimal(float(x)) for x in random_spd(spec.dim, *spec.init_eig_range, seed=spec.seed).spectrum]
+        a, b = Decimal(obj.a), Decimal(obj.b)
+        sigma, tol2 = Decimal(config.sigma), Decimal(config.grad_tol) ** 2
+        f1 = obj.family is Family.F1
+        lam = [Decimal(float(x)) for x in start]
         merit = lambda values: sum((a - b / x if f1 else a - b * x) ** 2 for x in values) / 2
-        full = spec.method is Method.FULL
+        full = config.method is Method.FULL
         ge, backtracks = 0, []
         while True:
             phi = merit(lam)
             if 2 * phi <= tol2:
                 return "converged", len(backtracks), ge, backtracks
-            if len(backtracks) >= spec.max_iters:
+            if len(backtracks) >= config.max_iters:
                 return "max_iters", len(backtracks), ge, backtracks
             w = [1 - a / b * x if f1 else a / b / x - 1 for x in lam]
             evaluations = 0

@@ -261,13 +261,13 @@ def test_run_returns_to_the_spectral_route_after_a_hand_over(seed, monkeypatch):
 def test_no_point_without_a_frame_reaches_a_caller(monkeypatch):
     # The solver runs a hand-over iteration at the frameless view of its
     # iterate; on_iterate and the caller only ever see points with a frame.
-    census_obj, census_start, k = next(itertools.islice(census_starts(), 14, None))
-    assert (census_obj.family, census_start.dim, k) == (Family.F2, 10, 7) and round(census_obj.ratio, 2) == 155.55
+    census_obj, census_start, k = next(itertools.islice(census_starts(), 123, None))
+    assert (census_obj.family, census_start.dim, k) == (Family.F1, 9, 8) and round(census_obj.ratio, 3) == 11.016
     views = _counting_views(monkeypatch)
     runs = [
         # The hand-over cell converges after a dense first iteration.
         (GradientField(Objective(Family.F2, 1.0, 0.01)), random_spd(100, 1.0, 10.0, seed=48453), SolverConfig()),
-        # Census run 14 stops inside a dense iteration.
+        # Census run 123 stops inside a dense iteration.
         (GradientField(census_obj), census_start, SolverConfig(max_iters=2000)),
     ]
     outcomes = []
@@ -279,7 +279,7 @@ def test_no_point_without_a_frame_reaches_a_caller(monkeypatch):
         assert point is seen[-1][1]
         counts = [c for c, _ in seen]
         outcomes.append((trace.status, trace.nit, len(_dense_steps(counts)) >= 1, len(views) > counts[-1]))
-    assert outcomes == [(Status.CONVERGED, 7, True, False), (Status.LINE_SEARCH_FAILED, 16, True, True)]
+    assert outcomes == [(Status.CONVERGED, 7, True, False), (Status.LINE_SEARCH_FAILED, 1, True, True)]
 
 
 def _run_hex(run):

@@ -63,11 +63,14 @@ class TestExperimentSpec:
             ("dim", True),
             ("max_iters", 2.5),
             ("max_iters", True),
+            ("init_eig_range", 5.0),
+            ("init_eig_range", (1.0, 2.0, 3.0)),
         ],
     )
     def test_rejects_an_ill_typed_field_by_name(self, field, value):
         # Library callers get a ValueError naming the field, where these
-        # raised a bare TypeError or were accepted.
+        # raised a bare TypeError, a ValueError that named no field, or were
+        # accepted.
         with pytest.raises(ValueError, match=field):
             spec(**{field: value})
 
@@ -312,10 +315,11 @@ def _ill_conditioned_census():
         yield k, trace.status
 
 
-# Runs that converge per k, at least: 583 of the 600.  The rest end
-# line_search_failed on the dense route, an open defect rather than an
-# expected outcome, so the floors may rise but not fall.
-_CENSUS_CONVERGED_FLOOR = {1: 80, 2: 78, 3: 70, 4: 68, 5: 80, 6: 78, 7: 62, 8: 67}
+# Every run converges for k = 1..7, and at least 76 of the 78 at k = 8: 598 of
+# the 600.  Runs 123 and 489 end line_search_failed at NIT 1, inside an
+# iteration that their first trial hands over to the dense route, an open
+# defect rather than an expected outcome, so the floor may rise but not fall.
+_CENSUS_CONVERGED_AT_8 = 76
 
 
 def test_ill_conditioned_starts_converge():
@@ -324,8 +328,8 @@ def test_ill_conditioned_starts_converge():
         assert isinstance(status, Status)
         runs[k] += 1
         converged[k] += status is Status.CONVERGED
-    assert all(converged[k] == runs[k] for k in range(1, 6)), (runs, converged)
-    assert all(converged[k] >= floor for k, floor in _CENSUS_CONVERGED_FLOOR.items()), converged
+    assert all(converged[k] == runs[k] for k in range(1, 8)), (runs, converged)
+    assert converged[8] >= _CENSUS_CONVERGED_AT_8, converged
 
 
 @pytest.mark.parametrize(

@@ -7,14 +7,19 @@ import pytest
 from rdn.bench import ExperimentSpec, run_experiment, table1_grid
 from rdn.manifold import random_spd
 from rdn.objectives import Family, GradientField
-from rdn.solver import Method, solve
+from rdn.solver import Method, SolverConfig, solve
 
-from exact_reference import exact_run
+from exact_reference import exact_iterations, exact_run
+from test_bench import census_starts
 
 
 def _float_run(spec):
     p0 = random_spd(spec.dim, *spec.init_eig_range, seed=spec.seed)
-    _, trace = solve(GradientField(spec.objective()), p0, spec.config())
+    return _counters(solve(GradientField(spec.objective()), p0, spec.config()))
+
+
+def _counters(run):
+    _, trace = run
     return trace.status.value, trace.nit, trace.ge, [r.backtracks for r in trace.records]
 
 
@@ -36,6 +41,27 @@ def test_full_step_run_through_huge_iterates_agrees_with_exact_arithmetic():
     want = exact_run(spec)
     assert want[:3] == ("converged", 353, 353)
     assert _float_run(spec) == want
+
+
+# Census runs that agree with exact arithmetic only because no iteration is
+# handed to the dense route on the iterate's own spread: where that alone
+# decided a hand-over, the dense route's rounding moved the run.
+_CENSUS_AGREE_SINCE_TRIAL_RULE = (0, 38, 178, 220, 432, 445, 452, 459)
+
+
+def test_census_runs_agree_with_exact_arithmetic():
+    # The ill-conditioned census (tests/test_bench.py) is the one tier-1 set
+    # whose hand-overs decide statuses.  The exact loop starts from each
+    # start's float spectrum.  458 of the 600 runs agree; the floor may rise
+    # but not fall.
+    config = SolverConfig(max_iters=2000)
+    agree = []
+    for i, (obj, start, _) in enumerate(census_starts()):
+        got = _counters(solve(GradientField(obj), start, config))
+        if got == exact_iterations(obj, start.spectrum, config):
+            agree.append(i)
+    assert set(_CENSUS_AGREE_SINCE_TRIAL_RULE) <= set(agree)
+    assert len(agree) >= 458, len(agree)
 
 
 # Cells whose float run parts from exact arithmetic because an intermediate

@@ -724,17 +724,30 @@ class TestSharedTrial:
         assert len(calls) == 1
 
     def test_checked_trial_is_not_checked_again_as_the_next_iterate(self, monkeypatch):
+        # needs_dense reads one spread per trial it forms and none for the
+        # iterate, whether that iterate is a kept trial, a point formed
+        # afresh, or one whose own spread lies below the hand-over spread.
         p, v, line = self._setup()
         assert not needs_dense(line, np.ones(1))
-        q, fresh = exp_map(p, line), _fresh(p, v)
+        kept, fresh = exp_map(p, line), _fresh(p, v)
+        low = SpdPoint.from_frame(np.array([1e-15, 1.0]), np.eye(2))
+        cases = [  # (line, steps, trials formed)
+            (Line(kept, SpectralTangent(np.zeros(6))), np.ones(1), 1),
+            (Line(fresh, SpectralTangent(np.zeros(6))), np.ones(1), 1),
+            # The full step [1e-3, 1] is inside the bounds, though the iterate is not.
+            (Line(low, SpectralTangent(np.array([1e-15 * np.log(1e12), 0.0]))), np.ones(1), 1),
+            # The full step [1, 1e-20] is below the rounding floor; the half
+            # step [1, 1e-10] decides.
+            (Line(SpdPoint.from_frame(np.ones(2), np.eye(2)), SpectralTangent(np.array([0.0, np.log(1e-20)]))),
+             np.array([1.0, 0.5]), 2),
+        ]
         spreads = []
         check = manifold._spread
         monkeypatch.setattr(manifold, "_spread", lambda x: spreads.append(x) or check(x))
-        assert not needs_dense(Line(q, SpectralTangent(np.zeros(6))), np.ones(1))
-        assert len(spreads) == 1 and spreads[0] is not q.spectrum  # only the new trial
-        spreads.clear()
-        assert not needs_dense(Line(fresh, SpectralTangent(np.zeros(6))), np.ones(1))
-        assert len(spreads) == 2  # the iterate and the trial
+        for along, steps, formed in cases:
+            spreads.clear()
+            assert not needs_dense(along, steps)
+            assert len(spreads) == formed and all(x is not along.point.spectrum for x in spreads)
 
 
 def test_line_steps_at_another_point_raise():
@@ -756,26 +769,25 @@ _TRIAL_STEPS = np.ldexp(1.0, -np.arange(61))
 
 
 def _needs_dense_by_scan(p, v, steps):
-    """The hand-over rule applied to the iterate and every trial step at once:
-    the reference for needs_dense, which forms only the first representable
-    trial.  A trial that is not finite, or whose spread lies below the 1e-17
-    rounding floor, is rejected by exp_map and hands nothing over."""
+    """The hand-over rule applied to every trial step at once: the reference
+    for needs_dense, which forms the trials largest step first and stops at
+    the first representable one.  Each row is formed as exp_map forms it:
+    lambda e^{t c / lambda}, and where that spread lies below the 1e-17
+    rounding floor, e^{log lambda + t c / lambda} for each entry whose factor
+    left the normal range.  A trial still below the floor is rejected by
+    exp_map and hands nothing over; the first that is not decides, and hands
+    over below the 1e-13 spread."""
     values = p.spectrum
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        trials = values * np.exp(np.multiply.outer(steps, v.coeffs) / values)
-        points = np.vstack([values, trials])
-        low, high = points.min(axis=1), points.max(axis=1)
-        inside = low / high >= 1e-13
-        representable = np.all(np.isfinite(points), axis=1) & (low / high >= 1e-17)
-    representable[0] = True  # the iterate itself is a point
-    return bool(np.any(representable & ~inside))
-
-
-def _near_a_bound(values, ulps=64):
-    """Whether the spread lies within ``ulps`` units in the last place of the
-    hand-over spread or of the rounding floor."""
-    spread = np.min(values) / np.max(values)
-    return any(abs(spread / bound - 1.0) <= ulps * 2.0**-52 for bound in (1e-13, 1e-17))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        x = np.multiply.outer(steps, v.coeffs) / values
+        e = np.exp(x)
+        trials = values * e
+        below = ~(trials.min(axis=1) / trials.max(axis=1) >= 1e-17)
+        off = below[:, None] & ((e < np.finfo(float).tiny) | (e == np.inf))
+        trials = np.where(off, np.exp(np.log(values) + x), trials)
+        spreads = trials.min(axis=1) / trials.max(axis=1)
+    representable = np.flatnonzero(spreads >= 1e-17)
+    return bool(representable.size) and bool(spreads[representable[0]] < 1e-13)
 
 
 @st.composite
@@ -813,15 +825,7 @@ def test_needs_dense_agrees_with_the_scan_of_every_trial(case, aim):
         scales += [_bits_to_float(lo), _bits_to_float(hi)]
     for scale in scales:
         got, want = needs_dense(Line(p, SpectralTangent(scale * coeffs)), _TRIAL_STEPS), scan(scale)
-        # needs_dense reads a subset of the scan's rows, so it never hands over
-        # where the scan does not.  The converse rests on each spread bound
-        # holding on an interval of steps from t = 0, which rounding can break
-        # only by an ulp or two: an iterate lying on a bound, such as the
-        # spread 1e-13 of [1, 1e13], may have smaller trials that rounding
-        # puts across it.
-        assert want or not got
-        if not _near_a_bound(values):
-            assert got == want, (values, scale * coeffs)
+        assert got == want, (values, scale * coeffs)
 
 
 _HOSTILE_ENTRIES = st.one_of(
