@@ -15,9 +15,8 @@ benchmark harness behind the ``rdn-bench`` command).
 
 The shipped fields are spectral functions of P, so ``GradientField`` runs the
 solver on each point's frame and on SpectralTangents (``manifold``): O(n) per
-step, handing single iterations over to the dense route where that route's
-outcome depends on rounding (spreads lambda_min / lambda_max near the
-rounding floor).  The start's basis is drawn only if a matrix is read.
+step, with no matrix formed and no factorization after the start's.  The
+start's basis is drawn only if a matrix is read.
 """
 
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     StepOverflow,
 )
 from .linalg import EigenPair, lyapunov_solve, mat_func, sym_eigen, symmetrize
-from .manifold import Line, SpdPoint, SpectralTangent, distance, exp_map, inner, norm, random_spd
+from .manifold import SpdPoint, SpectralTangent, distance, exp_map, inner, norm, random_spd
 from .objectives import (
     Family,
     GradientField,

@@ -137,8 +137,8 @@ def lyapunov_solve(
         )
     lam = pair.values
     denom = lam[:, None] + lam[None, :]
-    scale = float(np.max(np.abs(lam))) if pair.dim else 0.0
-    if np.min(np.abs(denom)) <= 1e-14 * scale:
+    # A 0 x 0 system has no eigenvalue sum to vanish.
+    if pair.dim and np.min(np.abs(denom)) <= 1e-14 * float(np.max(np.abs(lam))):
         raise SingularOperator("eigenvalue sum lambda_i + lambda_j vanishes")
     q = pair.vectors
     # An RHS beyond the float range gives non-finite entries.

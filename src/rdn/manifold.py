@@ -16,11 +16,6 @@ matrix is factored when it is made, and rejected unless its spectrum is
 positive), from which each power P^t (P^{1/2}, P^{-1/2}, P^{-1}, ...) is
 formed once, on first use, and kept read-only; no matrix is formed that no
 formula reads.
-A damped iteration tries exp_P(2^-j V), j = 0, 1, ..., along one geodesic,
-a Line, whose step t is ``exp_map(p, line, t)``.  A line factors its first
-whitened dense step P^{-1/2} t V P^{-1/2} (Pennec, Fillard & Ayache, IJCV
-66, 2006) and scales that eigenpair, bit for bit, for later steps; the
-dense route runs only where a spectral iteration cannot.
 
 Spectral seam.  Every point holds a frame (values, basis), with
 P = basis diag(values) basis^T, on the eigendecomposition it was made with,
@@ -32,40 +27,32 @@ Matrices, ch. 1):
     ||V||_P = ||c / lambda||,   exp_P(t V) = basis diag(lambda e^{t c / lambda}) basis^T,
 
 so every iterate keeps the start's eigenbasis and no factorization is paid
-after the start's.  Plain ndarray tangents take the dense route unchanged.
-Each spectral trial is formed and checked once: ``needs_dense`` forms the
-first representable trial of an iteration and keeps it on the line, and
-``exp_map`` returns it for that step of the line instead of forming it
-again.
-Where the dense route's outcome is decided by rounding noise (a spread
-lambda_min / lambda_max below 1e-13 at the first trial that can be
-formed), ``needs_dense`` tells the solver to run that iteration on the
-dense route, at the iterate's frameless view
-(``SpdPoint._dense``, which shares its eigenpair and matrix); the dense
-step holds its own eigendecomposition as its frame, so the next iteration
-is spectral again.  A trial that ``exp_map`` rejects as unrepresentable (not
-finite, or a spread below the 1e-17 rounding floor) hands nothing over: the
-line search backtracks past it on the spectral route.  A trial eigenvalue
-lambda e^{t c / lambda} is unrepresentable only where it leaves the float
-range itself, not where its factor e^{t c / lambda} alone does.
+after the start's.  Plain ndarray tangents take the dense route, each step
+factoring its own whitened step P^{-1/2} t V P^{-1/2} (Pennec, Fillard &
+Ayache, IJCV 66, 2006) and each result a point factored when it is made.
+A spectral trial whose spread lambda_min / lambda_max falls below the 1e-17
+rounding floor has no positive definite matrix form: ``exp_map`` rejects it
+as unrepresentable, as it does a trial that is not finite.  A trial
+eigenvalue lambda e^{t c / lambda} is unrepresentable only where it leaves
+the float range itself, not where its factor e^{t c / lambda} alone does.
 
 Lazy bases.  ``random_spd`` draws the spectrum at once but the basis (a QR
 factorization) only when something reads it.  Its factorization is an
 EigenPair whose ``vectors`` are drawn on first read, which is also the
 start's frame: the matrix, ``eigen.vectors`` and ``frame`` draw it,
 ``eigen.values`` does not.  The hot paths read eigenvalues through
-``spectrum`` and test for a frame with ``spectral``, neither of which draws
-it, so a run that stays spectral factorizes nothing.  ``identity_eigen``
-holds the identity basis of a diagonal matrix the same way and forms the
-matrix as diag(values), so a point built on it from its spectrum alone, such
-as the minimizer c I, forms no n x n array unless its basis or matrix is read.
+``spectrum``, which does not draw it, so a spectral run factorizes nothing.
+``identity_eigen`` holds the identity basis of a diagonal matrix the same
+way and forms the matrix as diag(values), so a point built on it from its
+spectrum alone, such as the minimizer c I, forms no n x n array unless its
+basis or matrix is read.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -82,7 +69,6 @@ from .linalg import EigenPair, mat_func, quiet, sym_eigen, symmetrize
 __all__ = [
     "SpdPoint",
     "SpectralTangent",
-    "Line",
     "inner",
     "norm",
     "exp_map",
@@ -91,14 +77,6 @@ __all__ = [
 ]
 
 
-# The spectral route stays where the dense route's outcome does not hinge on
-# rounding.  Below a spread lambda_min / lambda_max of _HANDOVER_SPREAD,
-# Cholesky and eigh of the materialized matrix accept or reject it by rounding
-# noise (random n = 100 frames: 2 of 40 accepted at 1e-18, none at 1e-19), and
-# lyapunov_solve's singularity guard fires at a spread of 5e-15.  An iteration
-# whose first trial point that exp_map can form has a spread below it runs on
-# the dense route instead (``needs_dense``).
-_HANDOVER_SPREAD = 1e-13
 # A spectral step below this spread, under the unit roundoff 2^-53, has no
 # positive definite matrix form; exp_map rejects it as unrepresentable.
 _ROUNDING_FLOOR = 1e-17
@@ -142,20 +120,19 @@ class SpdPoint:
     """A symmetric positive definite matrix as a point of the cone.
 
     Construction symmetrizes the input, verifies numerical positive
-    definiteness by Cholesky and by eigh, and keeps eigh's factorization as
-    its ``frame``, so every point has a finite, strictly positive spectrum.
-    ``from_frame`` builds a point from its eigenvalues and basis instead,
-    forming the matrix only on first use; ``spectral``/``spectrum`` read the
-    frame without drawing a lazy basis.  Every power P^t (``power``,
-    ``sqrt``, ``inv_sqrt``, ``inv``) is formed from the eigenpair alone on
-    first use and kept, read-only, so no matrix is formed that no formula
-    reads; a point and its frameless view (``_dense``) form the same bits.
+    definiteness by eigh, and keeps eigh's factorization as its ``frame``, so
+    every point has a finite, strictly positive spectrum.  ``from_frame``
+    builds a point from its eigenvalues and basis instead, forming the
+    matrix only on first use; ``spectrum`` reads the frame's eigenvalues
+    without drawing a lazy basis.  Every power P^t (``power``, ``sqrt``,
+    ``inv_sqrt``, ``inv``) is formed from the eigenpair alone on first use
+    and kept, read-only, so no matrix is formed that no formula reads.
     The matrix is frozen once formed; the caches are filled idempotently on
     first use, so points are safe to share between threads.
     """
 
     # _values/_basis: the frame, its basis held as the EigenPair it came
-    # from (possibly a random start's, not drawn yet); None on a view.
+    # from (possibly a random start's, not drawn yet).
     # _powers: P^t by exponent t, once this object formed it.
     __slots__ = ("_matrix", "_eigen", "_values", "_basis", "_powers")
 
@@ -170,13 +147,6 @@ class SpdPoint:
             # A + A^T overflows above half the float maximum; the sum of the
             # halves does not, and is as exactly symmetric.
             m = 0.5 * a + 0.5 * a.T
-        # Cholesky is the dense route's acceptance test: eigh alone would
-        # accept some trials near the rounding floor that it rejects.  eigh
-        # rejects what Cholesky accepts with a spectrum reaching zero.
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError as err:
-            raise InvalidPoint("matrix is not numerically positive definite") from err
         m.flags.writeable = False
         pair = EigenPair(*np.linalg.eigh(m))
         if float(pair.values[0]) <= 0.0:
@@ -220,21 +190,15 @@ class SpdPoint:
         return cls._from_spectrum(values, None, EigenPair(values=values, vectors=basis))
 
     @property
-    def spectral(self) -> bool:
-        """Whether ``frame`` is set: false only on a frameless view."""
-        return self._basis is not None
-
-    @property
-    def frame(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(values, basis) with P = basis diag(values) basis^T; None only on
-        a frameless view.  Reading it draws a lazy basis."""
-        return None if self._basis is None else (self._values, self._basis.vectors)
+    def frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, basis) with P = basis diag(values) basis^T.  Reading it
+        draws a lazy basis."""
+        return self._values, self._basis.vectors
 
     @property
     def matrix(self) -> np.ndarray:
         """The matrix; formed on first use from the ascending
-        eigendecomposition, so a point and its frameless view give the same
-        bits whatever the frame order."""
+        eigendecomposition, so its bits do not depend on the frame order."""
         if self._matrix is None:
             m = self.eigen.reconstruct()
             if not np.all(np.isfinite(m)):
@@ -245,7 +209,7 @@ class SpdPoint:
 
     @property
     def dim(self) -> int:
-        return self.spectrum.shape[0]
+        return self._values.shape[0]
 
     @property
     def eigen(self) -> EigenPair:
@@ -261,13 +225,7 @@ class SpdPoint:
     @property
     def spectrum(self) -> np.ndarray:
         """The eigenvalues, in frame order; reading them draws no lazy basis."""
-        return self._values if self._values is not None else self.eigen.values
-
-    def _dense(self) -> "SpdPoint":
-        """The same point without a frame, on the ascending factorization and
-        the matrix if formed: the solver's view for an iteration it runs on
-        the dense route."""
-        return object.__new__(SpdPoint)._set(self.eigen, None, None, self._matrix)
+        return self._values
 
     def power(self, t: float) -> np.ndarray:
         """P^t (t = 0.5, -0.5, -1, 2, ...), formed from the eigenpair alone on
@@ -310,34 +268,10 @@ class SpectralTangent:
     __rmul__ = __mul__
 
 
-class Line:
-    """The geodesic t -> exp_P(t V) that one iteration searches along.
-
-    ``exp_map(point, line, t)`` is bit for bit ``exp_map(point, t * direction)``;
-    the line holds the spectral trial ``needs_dense`` kept, which ``exp_map``
-    returns for its own step, and the eigenpair of its first whitened dense
-    step (``_whitened_eigen``).  A step at a point other than the line's
-    raises DimMismatch.
-    """
-
-    # _trial: (t, eigenvalues) that needs_dense found at or above the hand-over spread.
-    # _whitened: (t0, eigenpair of the whitened t0 V, floor of its magnitudes).
-    __slots__ = ("point", "direction", "_trial", "_whitened")
-
-    def __init__(self, point: SpdPoint, direction: np.ndarray | SpectralTangent):
-        if isinstance(direction, SpectralTangent):
-            _frame_values(point, direction)
-        else:
-            direction = np.asarray(direction, dtype=float)
-        self.point, self.direction = point, direction
-        self._trial = self._whitened = None
-
-
 def _frame_values(p: SpdPoint, v: SpectralTangent) -> np.ndarray:
-    """The eigenvalues of ``p`` in frame order, once ``v`` is checked to be in its frame."""
+    """The eigenvalues of ``p`` in frame order, once ``v`` is checked to have
+    one coefficient for each."""
     values = p._values
-    if values is None:
-        raise DimMismatch("spectral tangent at a point without a spectral frame")
     if v.coeffs.shape != values.shape:
         raise DimMismatch(f"tangent has {v.coeffs.shape[0]} coefficients, point dimension {p.dim}")
     return values
@@ -419,44 +353,16 @@ def norm(p: SpdPoint, v: np.ndarray) -> float:
 # Whitened steps below this norm take the series route in exp_map: the
 # truncation error ||M||^3/6 is then under 2e-19, beneath double rounding.
 _EXP_SERIES_CUTOFF = 1e-6
-# The eigenpair (mu, Q) of the whitened step M0 = P^{-1/2} t0 V P^{-1/2}
-# serves the step r t0, r = 2^-k <= 1, as (r mu, Q), bit for bit: scaling by
-# a power of two commutes with rounding in the products and in eigh while
-# nothing nears the subnormal range.  So min|t0 V| min(1, min|si|)^2, which
-# bounds the products' nonzero terms, every nonzero entry of M0 and every
-# nonzero eigenvalue, times r, must reach _SCALING_FLOOR, far above LAPACK's
-# thresholds (2^-405 in dsteqr, 2^-511 in dlartg); and max|M0| < 2^480, as
-# syevd rescales above 2^484.5 by a factor that is not a power of two.
-_SCALING_FLOOR = 2.0**-300
-
-
-def _whitened_eigen(line: Line, t: float, step: np.ndarray) -> EigenPair:
-    """The eigenpair of P^{-1/2} step P^{-1/2}, step = sym(t V): the line's pair
-    scaled where that gives the same bits, else factored and kept if first."""
-    kept = line._whitened
-    if kept is not None:
-        t0, pair, floor = kept
-        r = t / t0
-        if r <= 1.0 and math.frexp(r)[0] == 0.5 and r * floor >= _SCALING_FLOOR:
-            return EigenPair(r * pair.values, pair.vectors)
-    si = line.point.inv_sqrt()
-    m = si @ step @ si
-    pair = sym_eigen(m)
-    if kept is None:
-        least = [float(np.abs(a[a != 0.0]).min(initial=math.inf)) for a in (step, si, m, pair.values)]
-        floor = min(least[0] * min(1.0, least[1]) ** 2, *least[2:])
-        line._whitened = (t, pair, floor if np.abs(m).max() < 2.0**480 and np.isfinite(pair.values).all() else 0.0)
-    return pair
 
 
 @quiet
-def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0) -> SpdPoint:
+def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent, t: float = 1.0) -> SpdPoint:
     """Geodesic step exp_P(t V) = P^{1/2} e^{P^{-1/2} t V P^{-1/2}} P^{1/2}.
 
     Defined for every symmetric V; the result is positive definite without
     any projection.  Steps whose exponential overflows the floating-point
     range, or whose result rounds outside the representable cone, raise
-    StepOverflow.
+    StepOverflow.  ``exp_map(p, v, t)`` is bit for bit ``exp_map(p, t * v)``.
 
     Conjugating P^{1/2} through the series of e^M collapses it to
     P + V + V P^{-1} V / 2 + O(||M||^3), so for whitened steps below the
@@ -465,34 +371,24 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
     would otherwise dominate the distance between consecutive iterates near
     a singularity).
 
-    A SpectralTangent steps in closed form on the point's frame; a result
-    whose spread lambda_min / lambda_max falls below 1e-17 has no positive
-    definite matrix form and also raises StepOverflow.  A tangent V steps as
-    Line(P, V).  The step t of a Line is taken from the line's point
-    (DimMismatch elsewhere), bit for bit as the tangent t V: the trial
-    ``needs_dense`` kept is returned as it is for its own step, and a dense
-    step scales the eigenpair of the line's first whitened step where it can.
+    A SpectralTangent steps in closed form on the point's frame (DimMismatch
+    unless it has one coefficient per eigenvalue); a result whose spread
+    lambda_min / lambda_max falls below 1e-17 has no positive definite
+    matrix form and also raises StepOverflow.
     """
-    line = v if isinstance(v, Line) else Line(p, v)
-    if line.point is not p:
-        raise DimMismatch("a line steps only from its own point")
-    v = line.direction
     if isinstance(v, SpectralTangent):
-        kept = line._trial
-        if kept is not None and kept[0] == t:
-            return SpdPoint._from_spectrum(kept[1], None, p._basis, checked=True)
-        values, spread = _spectral_trial(p._values, v.coeffs, t)
+        values, spread = _spectral_trial(_frame_values(p, v), v.coeffs, t)
         if not spread >= _ROUNDING_FLOOR:
             raise StepOverflow("exponential-map result overflowed or rounded outside the cone")
         return SpdPoint._from_spectrum(values, None, p._basis, checked=True)
-    step = _tangent_at(p, v if t == 1.0 else t * v)
+    step = _tangent_at(p, v if t == 1.0 else t * np.asarray(v, dtype=float))
     # ||V||_F / lambda_min bounds the whitened step's norm.
     if _frobenius(step) / float(p.eigen.values[0]) <= _EXP_SERIES_CUTOFF:
         out = symmetrize(p.matrix + step + 0.5 * (step @ p.inv() @ step))
     else:
-        s = p.sqrt()
+        s, si = p.sqrt(), p.inv_sqrt()
         try:
-            e = mat_func(None, np.exp, eigen=_whitened_eigen(line, t, step))
+            e = mat_func(si @ step @ si, np.exp)
         except (SpectrumDomainError, InvalidMatrix) as err:
             raise StepOverflow("exponential of the whitened step is not finite") from err
         # A + A^T overflows above half the float maximum: SpdPoint rejects it.
@@ -501,38 +397,6 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent | Line, t: float = 1.0)
         return SpdPoint(out)
     except InvalidPoint as err:
         raise StepOverflow("exponential-map result overflowed or rounded outside the cone") from err
-
-
-@quiet
-def needs_dense(line: Line, steps: Iterable[float]) -> bool:
-    """Whether an iteration along ``line`` belongs on the dense route.
-
-    True when the line's direction is a SpectralTangent and its first
-    representable trial exp_P(t V), t in ``steps`` largest first, has a
-    spread lambda_min / lambda_max in [1e-17, 1e-13), where the dense
-    route's outcome is decided by rounding; the solver then runs the
-    iteration at ``line.point._dense()``.  A trial is representable if its
-    spread is at least the rounding floor 1e-17; exp_map rejects any other
-    as StepOverflow, so it needs no hand-over and the line search backtracks
-    past it (the paper's step 2 skips a trial that cannot be formed).  The
-    iterate's own spread is not read.
-
-    Only that first representable trial is formed, by exp_map's formula,
-    and it is kept on the line, which returns it for
-    ``exp_map(point, line, t)`` without forming it again.
-    """
-    v = line.direction
-    if not isinstance(v, SpectralTangent):
-        return False
-    values, c = line.point._values, v.coeffs
-    for t in steps:
-        trial, spread = _spectral_trial(values, c, t)
-        if spread >= _HANDOVER_SPREAD:
-            line._trial = (t, trial)
-            return False
-        if spread >= _ROUNDING_FLOOR:
-            return True
-    return False
 
 
 def _spread(values: np.ndarray) -> np.float64:
@@ -607,8 +471,8 @@ def random_spd(dim: int, eig_low: float, eig_high: float, seed: int) -> SpdPoint
     (a Python or numpy integer), and identical arguments give bitwise
     identical points.  The basis is drawn, from a copy of the generator's
     state, only when it is first read (``matrix``, ``eigen.vectors`` or
-    ``frame``), so a run that stays on the spectral route never pays for the
-    QR; the matrix is formed on first use.
+    ``frame``), so a spectral run never pays for the QR; the matrix is
+    formed on first use.
     """
     if dim < 1:
         raise InvalidRange(f"dimension must be >= 1, got {dim}")

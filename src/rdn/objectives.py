@@ -207,26 +207,21 @@ class GradientField:
     Any object with the same four methods can be handed to the solver; this
     class is the concrete instantiation for the two shipped families.  The
     field and the Newton direction are SpectralTangents in the point's
-    frame, so the solver's steps stay O(n); at the frameless view of a
-    dense iteration (``not p.spectral``) they are matrices.
+    frame, so the solver's steps stay O(n).
     """
 
     def __init__(self, objective: Objective):
         self.objective = objective
 
     @quiet
-    def field_value(self, p: SpdPoint) -> np.ndarray | SpectralTangent:
-        if not p.spectral:
-            return riemannian_grad(self.objective, p)
+    def field_value(self, p: SpdPoint) -> SpectralTangent:
         obj, lam = self.objective, p.spectrum
         if obj.family is Family.F1:
             return _spectral(obj.a * lam - obj.b)
         return _spectral(obj.a * lam - obj.b * lam**2)
 
     @quiet
-    def newton_solve(self, p: SpdPoint) -> np.ndarray | SpectralTangent:
-        if not p.spectral:
-            return newton_solve(self.objective, p)
+    def newton_solve(self, p: SpdPoint) -> SpectralTangent:
         obj, lam = self.objective, p.spectrum
         ratio = obj.a / obj.b
         if obj.family is Family.F1:

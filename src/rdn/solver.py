@@ -30,16 +30,9 @@ bound holds when no trial is rejected that way.
 Every point holds its frame, so the solver converts no iterate.  Problems
 whose field and Newton direction come back as SpectralTangents (the shipped
 GradientField) run the loop in O(n) per trial; others return matrices and
-take dense steps, each a point factored when it is made.  An iteration
-whose first representable trial point has a spread near the rounding
-floor, where the dense route's outcome is decided by rounding
-(manifold.needs_dense), runs on the dense route instead, at the iterate's
-frameless view (SpdPoint._dense), which no caller sees, so statuses and
-counters match it; a trial that cannot be formed is backtracked past on
-either route.  Each iteration searches along one manifold.Line, which keeps
-the trial that check forms for the full step or the line search; every
-trial is one exp_map(p, line, t) call.  The iterates after a hand-over
-agree with a purely dense run only to rounding.
+take dense steps, each a point factored when it is made.  Every trial is
+one exp_map(p, v, t) call, and a trial that cannot be formed is
+backtracked past.
 """
 
 from __future__ import annotations
@@ -63,7 +56,7 @@ from .errors import (
     require,
 )
 from .linalg import quiet
-from .manifold import Line, SpdPoint, SpectralTangent, exp_map, inner, needs_dense, norm
+from .manifold import SpdPoint, SpectralTangent, exp_map, inner, norm
 
 __all__ = [
     "Method",
@@ -103,8 +96,8 @@ class Problem(Protocol):
 
     These four methods are all ``solve`` calls.  ``newton_solve`` raises
     SingularOperator when the Newton system has no solution, and
-    ``fallback_direction`` is then -grad phi(P).  At a point with a frame
-    (``p.spectral``) a problem may return SpectralTangents.
+    ``fallback_direction`` is then -grad phi(P).  A problem may return
+    SpectralTangents in the point's frame at any point.
     """
 
     def field_value(self, p: SpdPoint) -> np.ndarray | SpectralTangent: ...
@@ -178,7 +171,7 @@ class SolveTrace:
         return self.nit
 
 
-def direction(problem: Problem, p: SpdPoint) -> tuple[np.ndarray, DirectionKind]:
+def direction(problem: Problem, p: SpdPoint) -> tuple[np.ndarray | SpectralTangent, DirectionKind]:
     """Search direction at ``p``: Newton when the system is solvable, else the
     steepest-descent direction of the merit function.
 
@@ -210,15 +203,14 @@ class ArmijoResult:
 # overflows, it rounds outside the cone, or its field or merit is not finite.
 _BREAKDOWN = (InvalidPoint, StepOverflow, SpectrumDomainError)
 
-# Step 2's step sizes 2^-j, j = 0..60.  The line search tries them largest
-# first, and the hand-over check reads the first whose trial it can form.
+# Step 2's step sizes 2^-j, j = 0..60, which the line search tries largest first.
 _STEPS = tuple(2.0**-j for j in range(61))
 
 
 def armijo_stepsize(
     problem: Problem,
     p: SpdPoint,
-    v: Line | np.ndarray,
+    v: np.ndarray | SpectralTangent,
     sigma: float,
     *,
     direction_kind: DirectionKind = DirectionKind.NEWTON,
@@ -232,20 +224,18 @@ def armijo_stepsize(
     the test is applied as phi(exp_P(t v)) <= (1 - 2 sigma t) phi(P); for the
     gradient fallback v = -grad phi(P), so it is -<v, v>_P.  Trial points
     whose exponential overflows are rejected without a merit evaluation;
-    ``evaluations`` counts the merit evaluations performed.  ``v`` is the
-    iteration's Line from ``p``, or a bare direction put on a Line of its
-    own; each trial is one exp_map(p, line, t), on what the line holds.
+    ``evaluations`` counts the merit evaluations performed.  Each trial is
+    one exp_map(p, v, t) call.
     """
     if merit is None:
         merit = problem.merit_value(p)
-    line = v if isinstance(v, Line) else Line(p, v)
     newton = direction_kind is DirectionKind.NEWTON
     if not newton:
-        slope = -inner(p, line.direction, line.direction)
+        slope = -inner(p, v, v)
     evaluations = 0
     for j, t in enumerate(_STEPS):
         try:
-            candidate = exp_map(p, line, t)
+            candidate = exp_map(p, v, t)
             trial = problem.merit_value(candidate)
         except _BREAKDOWN:
             continue
@@ -284,7 +274,7 @@ def solve(
     warnings off (``linalg.quiet``), as does the rest of the run.
     """
     start = time.perf_counter()
-    p = at = p0  # the iterate, and the point its iteration runs at (p or p._dense())
+    p = p0
     records: list[IterationRecord] = []
     ge = 0
     k = 0
@@ -295,8 +285,8 @@ def solve(
         on_iterate(0, p0)
     while True:
         try:
-            x = problem.field_value(at)
-            grad_norm = norm(at, x)
+            x = problem.field_value(p)
+            grad_norm = norm(p, x)
         except _BREAKDOWN:
             status = Status.STEP_OVERFLOW
             break
@@ -310,16 +300,12 @@ def solve(
             status = Status.MAX_ITERS
             break
         try:
-            v, kind = direction(problem, at)
-            line = Line(at, v)
-            if needs_dense(line, _STEPS[:1] if full else _STEPS):
-                at = p._dense()
-                continue
+            v, kind = direction(problem, p)
             if full:
-                nxt = exp_map(at, line)
+                nxt = exp_map(p, v)
                 alpha, backtracks, trial_evals = 1.0, 0, 0
             else:
-                result = armijo_stepsize(problem, at, line, config.sigma, direction_kind=kind, merit=merit)
+                result = armijo_stepsize(problem, p, v, config.sigma, direction_kind=kind, merit=merit)
                 if not result.accepted:
                     status = Status.LINE_SEARCH_FAILED
                     break
@@ -336,7 +322,7 @@ def solve(
         k += 1
         if on_iterate is not None:
             on_iterate(k, nxt)
-        p = at = nxt
+        p = nxt
     elapsed = time.perf_counter() - start
     trace = SolveTrace(
         records=tuple(records),

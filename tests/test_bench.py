@@ -19,7 +19,8 @@ from rdn.bench import (
     run_grid,
     table1_grid,
 )
-from rdn.manifold import SpdPoint
+from rdn.errors import StepOverflow
+from rdn.manifold import SpdPoint, exp_map
 from rdn.objectives import Family, GradientField, Objective
 from rdn.solver import Method, SolverConfig, Status, solve
 
@@ -315,11 +316,8 @@ def _ill_conditioned_census():
         yield k, trace.status
 
 
-# Every run converges for k = 1..7, and at least 76 of the 78 at k = 8: 598 of
-# the 600.  Runs 123 and 489 end line_search_failed at NIT 1, inside an
-# iteration that their first trial hands over to the dense route, an open
-# defect rather than an expected outcome, so the floor may rise but not fall.
-_CENSUS_CONVERGED_AT_8 = 76
+# Every run converges for k = 1..7, and all 78 at k = 8: 600 of the 600.
+_CENSUS_CONVERGED_AT_8 = 78
 
 
 def test_ill_conditioned_starts_converge():
@@ -444,26 +442,32 @@ def test_ratios_near_the_float_range_end_without_warnings_on_two_threads():
 
 
 @pytest.mark.parametrize(
-    "family, ratio, method, seed, init_range, nit, dense_steps",
+    "family, ratio, method, seed, init_range, nit, rejected",
     [
-        # spectral throughout
+        # every trial formed
         (Family.F1, 0.1, Method.FULL, 44, (9.0, 10.0), 100, 0),
-        # hands over to the dense route once
+        # exp_map rejects one trial, which rounds outside the cone
         (Family.F2, 0.01, Method.DAMPED, 48453, (1.0, 10.0), 7, 1),
     ],
 )
-def test_one_error_state_per_run(monkeypatch, family, ratio, method, seed, init_range, nit, dense_steps):
-    made, handed_over = [], []
+def test_one_error_state_per_run(monkeypatch, family, ratio, method, seed, init_range, nit, rejected):
+    made, raised = [], []
 
     class CountingErrstate(np.errstate):
         def __init__(self, **kwargs):
             made.append(kwargs)
             super().__init__(**kwargs)
 
-    dense = SpdPoint._dense
+    def counting_exp_map(*args):
+        try:
+            return exp_map(*args)
+        except StepOverflow:
+            raised.append(args)
+            raise
+
     np.random.default_rng(0)  # numpy.random enters an errstate of its own on first import
     monkeypatch.setattr(np, "errstate", CountingErrstate)
-    monkeypatch.setattr(SpdPoint, "_dense", lambda p: handed_over.append(p) or dense(p))
+    monkeypatch.setattr("rdn.solver.exp_map", counting_exp_map)
     result = run_experiment(ExperimentSpec(family, ratio, 100, method, seed, init_eig_range=init_range))
-    assert (result.status, result.nit, len(handed_over)) == (Status.CONVERGED.value, nit, dense_steps)
+    assert (result.status, result.nit, len(raised)) == (Status.CONVERGED.value, nit, rejected)
     assert made == [{"all": "ignore"}]

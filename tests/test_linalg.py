@@ -143,6 +143,13 @@ class TestLyapunovSolve:
         with pytest.raises(SingularOperator):
             lyapunov_solve(np.diag([1.0, -1.0]), np.eye(2))
 
+    def test_zero_dimension_gives_the_empty_solution(self):
+        # As sym_eigen and mat_func do: a 0 x 0 system has no eigenvalue sum
+        # to vanish.
+        for eigen in (None, sym_eigen(np.zeros((0, 0)))):
+            v = lyapunov_solve(np.zeros((0, 0)), np.zeros((0, 0)), eigen=eigen)
+            assert v.shape == (0, 0)
+
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             lyapunov_solve(np.eye(3), np.eye(2))

@@ -8,17 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from rdn import manifold, objectives
 from rdn.errors import DimMismatch, InvalidPoint, InvalidRange, SpectrumDomainError, StepOverflow
 from rdn.linalg import mat_func, sym_eigen, symmetrize
-from rdn.manifold import (
-    Line,
-    SpdPoint,
-    SpectralTangent,
-    distance,
-    exp_map,
-    inner,
-    needs_dense,
-    norm,
-    random_spd,
-)
+from rdn.manifold import SpdPoint, SpectralTangent, distance, exp_map, inner, norm, random_spd
+from rdn.solver import armijo_stepsize
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -63,9 +54,9 @@ class TestSpdPoint:
 
     def test_every_point_made_near_the_rounding_floor_reads_its_spectrum(self):
         # A matrix is rejected where it is made, or it is a point whose
-        # spectrum is finite and positive: no later read raises.  Cholesky
-        # accepts some of these spectra whose eigh spectrum reaches zero
-        # (n = 20 at 1e-18, seeds 4, 10 and 11).
+        # spectrum is finite and positive: no later read raises.  eigh's
+        # spectrum reaches zero for some of these (n = 20 at 1e-18, seeds 4,
+        # 10 and 11), and those are rejected.
         matrices = [np.diag([1e308, 1.0])]
         for n in (2, 3, 7, 20, 50):
             for spread in (1e-15, 1e-16, 1e-17, 1e-18, 1e-19):
@@ -81,7 +72,7 @@ class TestSpdPoint:
             made += 1
             assert p.eigen.values[0] > 0.0 and np.isfinite(p.eigen.values).all()
             assert np.array_equal(p.spectrum, p.eigen.values)
-            assert p.spectral and p.frame[0] is p.spectrum and p.frame[1] is p.eigen.vectors
+            assert p.frame[0] is p.spectrum and p.frame[1] is p.eigen.vectors
             assert np.isfinite(p.inv_sqrt()).all()
         assert 0 < made < len(matrices)
 
@@ -92,7 +83,7 @@ class TestSpdPoint:
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda a: (drawn.append(a.shape), qr(a))[1])
         start = random_spd(4, 1.0, 10.0, seed=3)
-        assert start.spectral and drawn == []
+        assert start.spectrum.shape == (4,) and drawn == []
         made = SpdPoint(start.matrix)
         assert drawn == [(4, 4)]
         points = [
@@ -105,7 +96,6 @@ class TestSpdPoint:
             exp_map(made, random_symmetric(np.random.default_rng(3), 4)),  # dense, factored
         ]
         for p in points:
-            assert p.spectral and p.frame is not None
             values, basis = p.frame
             assert np.allclose((basis * values) @ basis.T, p.matrix, rtol=0, atol=1e-12 * values.max())
         assert made.frame[0] is made.eigen.values and made.frame[1] is made.eigen.vectors
@@ -135,6 +125,14 @@ class TestSpdPoint:
         with pytest.raises(error):
             SpdPoint.from_frame(values, basis)
 
+    def test_a_frame_whose_matrix_overflows_rejects_its_matrix(self):
+        # The frame is finite and positive, but on a rotated basis the
+        # matrix's entries pass the float maximum.
+        basis = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))[0]
+        p = SpdPoint.from_frame(np.array([1.7e308, 1.7e308, 1.0]), basis)
+        with pytest.raises(InvalidPoint):
+            p.matrix
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 100])
     def test_from_frame_accepts_rotated_qr_bases(self, n):
         rng = np.random.default_rng(n)
@@ -156,16 +154,12 @@ class TestSpdPoint:
         s = p.inv_sqrt()
         assert p.sqrt() is p.power(0.5) and p.inv() is p.power(-1.0) and p.power(-0.5) is s
         assert p.power(2.0) is p.power(2.0) and not p.power(2.0).flags.writeable
-        # A frameless view shares the eigenpair, not the powers: it forms its
-        # own P^t from that pair, with the same bits.
-        dense = p._dense()
-        assert dense.eigen is p.eigen and dense.power(-0.5) is not s
-        assert dense.power(-0.5).tobytes() == s.tobytes()
-        again = p._dense()
-        assert again is not dense and again.eigen is p.eigen
-        assert again.power(2.0).tobytes() == p.power(2.0).tobytes()
+        # A point on the same eigenpair shares it, not the powers: it forms
+        # its own P^t from that pair, with the same bits.
+        twin = SpdPoint._from_spectrum(p.spectrum, p.eigen, p.eigen)
+        assert twin.power(-0.5) is not s and twin.power(-0.5).tobytes() == s.tobytes()
         obj = objectives.Objective(objectives.Family.F2, 1.0, 0.5)
-        objectives.newton_solve(obj, dense)
+        objectives.newton_solve(obj, p)
         assert distance(p, other) > 0.0
         monkeypatch.undo()
         assert np.allclose(s @ p.matrix @ s, np.eye(40), rtol=0, atol=1e-12)
@@ -192,14 +186,13 @@ class TestInnerAndNorm:
 
     @pytest.mark.parametrize("spectral_first", [True, False], ids=["spectral-matrix", "matrix-spectral"])
     def test_inner_of_a_spectral_tangent_and_a_matrix_raises(self, spectral_first):
-        # DimMismatch, as norm and exp_map raise for a spectral tangent at a
-        # point without a frame; at a point and at its frameless view alike.
+        # DimMismatch, as norm and exp_map raise for a spectral tangent of
+        # the wrong length.
         p = random_spd(3, 1.0, 3.0, seed=4)
         u, v = SpectralTangent(np.ones(3)), np.eye(3)
         args = (u, v) if spectral_first else (v, u)
-        for at in (p, p._dense()):
-            with pytest.raises(DimMismatch, match="spectral tangent and a matrix"):
-                inner(at, *args)
+        with pytest.raises(DimMismatch, match="spectral tangent and a matrix"):
+            inner(p, *args)
 
     def test_norm_zero(self):
         assert norm(SpdPoint(np.eye(3)), np.zeros((3, 3))) == 0.0
@@ -346,83 +339,6 @@ def test_error_state_is_the_callers_after_an_overflowing_step():
     assert np.geterr() == before
 
 
-def _trial(p, v, t=1.0):
-    """The bits of exp_map(p, v, t), or StepOverflow if it raises that."""
-    try:
-        return exp_map(p, v, t).matrix.tobytes()
-    except StepOverflow:
-        return StepOverflow
-
-
-def _trials_along_and_plain(monkeypatch, p, v, js):
-    """The trials 2^-j along Line(p, v) and of the plain tangents 2^-j v, and
-    how many whitened steps each factors."""
-    calls = []
-    monkeypatch.setattr(manifold, "sym_eigen", lambda a: calls.append(a.shape) or sym_eigen(a))
-    want = [_trial(p, 2.0**-j * v) for j in js]
-    own = len(calls)
-    line = Line(p, v)
-    got = [_trial(p, line, 2.0**-j) for j in js]
-    monkeypatch.undo()
-    return got, want, own, len(calls) - own
-
-
-def _line_search_cases():
-    """(point, direction, trial exponents j, subnormal) over n <= 100 and
-    j <= 60.  The subnormal ones reach the subnormal range: their
-    direction has an entry of 1e-300, on a point of scale 1 or 2^-400."""
-    rng = np.random.default_rng(20261018)
-    for i in range(40):
-        subnormal = i % 4 == 3
-        n = int(rng.choice([2, 3, 7, 20, 100] if subnormal else [1, 2, 3, 7, 20, 100]))
-        low = 10.0 ** rng.uniform(-3.0, 0.0)
-        p = random_spd(n, low, low * 10.0 ** rng.uniform(0.0, 6.0), seed=i)
-        v = random_symmetric(rng, n, scale=low * 10.0 ** rng.uniform(-3.0, 14.0))
-        if subnormal:
-            if i % 8 == 7:
-                p, v = SpdPoint(2.0**-400 * p.matrix), 2.0**-400 * v
-            v[0, -1] = v[-1, 0] = 1e-300
-        js = sorted({0, *rng.integers(0, 61, size=6).tolist()})
-        yield p, v, js, subnormal
-
-
-class TestLine:
-    def test_trials_match_the_per_trial_recipe_bitwise(self, monkeypatch):
-        # Each step of a line is bitwise the step of the scaled tangent.  The
-        # line factors one whitened step, its first, and scales that
-        # eigenpair for the later steps; a trial that could near the
-        # subnormal range (here every trial of the subnormal cases) factors
-        # its own, as the plain tangents do.
-        subnormal_factored = 0
-        for p, v, js, subnormal in _line_search_cases():
-            got, want, own, along = _trials_along_and_plain(monkeypatch, p, v, js)
-            mismatched = [j for j, g, w in zip(js, got, want) if g != w]
-            assert not mismatched, (p.dim, mismatched, subnormal)
-            # One for the line, plus one for each guarded trial.
-            assert along == (own if subnormal else min(own, 1)), (p.dim, js, subnormal, own, along)
-            subnormal_factored += subnormal and own > 1
-        assert subnormal_factored >= 5
-
-    def test_trials_across_the_scaling_floor_match_bitwise(self, monkeypatch):
-        # A whitened direction with entries a few octaves above the scaling
-        # floor: the first steps scale the line's eigenpair, the later ones
-        # (until the series route takes over) factor their own, and every
-        # step keeps the per-trial bits.  A diagonal point keeps the tiny
-        # entries through the whitening.
-        rng = np.random.default_rng(20261020)
-        floor = manifold._SCALING_FLOOR
-        for n in (2, 3, 7, 20):
-            lam = rng.uniform(0.5, 2.0, n)
-            p = SpdPoint(np.diag(lam))
-            v = random_symmetric(rng, n)
-            for _ in range(n // 2 + 1):
-                a, b = rng.integers(0, n, size=2)
-                v[a, b] = v[b, a] = floor * 2.0 ** rng.uniform(5.0, 12.0)
-            got, want, own, along = _trials_along_and_plain(monkeypatch, p, v, range(61))
-            assert got == want, n
-            assert 1 < along < own, (n, own, along)
-
-
 class TestDistance:
     def test_self_distance(self):
         p = random_spd(4, 0.5, 3.0, seed=10)
@@ -562,7 +478,18 @@ class TestSpectralSeam:
             exp_map(p, SpectralTangent(np.array([np.nan, 0.0])))
         with pytest.raises(StepOverflow):  # every value inf: the spread is nan
             exp_map(p, SpectralTangent(np.array([800.0, 800.0])))
-        assert exp_map(p, SpectralTangent(np.array([0.0, -30.0]))).frame is not None
+        # Any spread from the rounding floor up is formed on the frame.
+        for spread in (1e-13, 1e-15, 1e-16, 2e-17):
+            got = exp_map(p, SpectralTangent(np.array([0.0, np.log(spread)])))
+            assert got.frame[1] is p.frame[1] and got.spectrum[1] == pytest.approx(spread, rel=1e-13)
+
+    def test_a_tangent_of_the_wrong_length_raises(self):
+        # exp_map is the one place that checks a spectral direction's length.
+        p = SpdPoint.from_frame(np.ones(3), np.eye(3))
+        for coeffs in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+            for t in (1.0, 0.5):
+                with pytest.raises(DimMismatch):
+                    exp_map(p, SpectralTangent(coeffs), t)
 
     @pytest.mark.parametrize(
         "value, coeff, want",
@@ -573,259 +500,50 @@ class TestSpectralSeam:
     )
     def test_a_trial_that_fits_is_formed_where_its_exponential_does_not(self, value, coeff, want):
         # lambda e^{c / lambda} in exact arithmetic (c / lambda rounds to
-        # 710 and -749.9999999999999); exp_map and the hand-over test form the
-        # same trial, and the line returns the one needs_dense kept.
+        # 710 and -749.9999999999999).
         p = SpdPoint.from_frame(np.array([value]), np.eye(1))
-        v = SpectralTangent(np.array([coeff]))
-        got = exp_map(p, v).spectrum
+        got = exp_map(p, SpectralTangent(np.array([coeff]))).spectrum
         assert got[0] == pytest.approx(want, rel=1e-12)
-        line = Line(p, v)
-        assert not needs_dense(line, np.array([1.0]))
-        assert np.array_equal(exp_map(p, line).spectrum, got)
-
-    def test_hand_over_near_the_rounding_floor(self):
-        p = SpdPoint.from_frame(np.ones(2), np.eye(2))
-        v = SpectralTangent(np.array([0.0, np.log(1e-15)]))
-        assert needs_dense(Line(p, v), np.array([1.0]))
-        assert not needs_dense(Line(p, v), np.array([0.5, 0.25]))
-        assert not needs_dense(Line(p, np.diag(v.coeffs)), np.array([1.0]))
-        narrow = SpdPoint.from_frame(np.array([1e-14, 1.0]), np.eye(2))
-        assert needs_dense(Line(narrow, SpectralTangent(np.zeros(2))), np.array([1.0]))
-
-    def test_hand_over_below_the_rounding_floor(self):
-        # A trial below the 1e-17 rounding floor cannot be formed: exp_map
-        # rejects it as StepOverflow and the line search backtracks past it,
-        # so it hands nothing over, like an overflowing trial.
-        p = SpdPoint.from_frame(np.ones(2), np.eye(2))
-        v = SpectralTangent(np.array([0.0, np.log(1e-18)]))
-        assert not needs_dense(Line(p, v), np.array([1.0, 0.5]))  # the half step 1e-9 is inside
-        underflow = SpectralTangent(np.array([0.0, -800.0]))
-        assert not needs_dense(Line(p, underflow), np.array([1.0]))
-        for tangent in (v, underflow):
-            with pytest.raises(StepOverflow):
-                exp_map(p, tangent)
-        # Past a skipped trial, the first one that can be formed still hands
-        # over where its spread lies in [1e-17, 1e-13).
-        skipped = SpectralTangent(np.array([0.0, np.log(1e-32)]))
-        assert needs_dense(Line(p, skipped), np.array([1.0, 0.5]))  # 1e-32, then 1e-16
-        for spread in (1e-16, 2e-17):
-            assert needs_dense(Line(p, SpectralTangent(np.array([0.0, np.log(spread)]))), np.array([1.0]))
 
     def test_overflowing_trials_stay_spectral(self):
+        # The full and the half step overflow; the line search backtracks
+        # past them to the quarter step, on the frame of its point.
         p = SpdPoint.from_frame(np.ones(2), np.eye(2))
-        assert not needs_dense(Line(p, SpectralTangent(np.array([800.0, 0.0]))), np.array([1.0]))
+        v = SpectralTangent(np.array([2800.0, 2800.0]))
+        field = objectives.GradientField(objectives.Objective(objectives.Family.F1, 1.0, 1e150))
+        res = armijo_stepsize(field, p, v, 1e-4)
+        assert (res.accepted, res.backtracks, res.evaluations) == (True, 2, 1)
+        assert res.point.frame[1] is p.frame[1]
+        assert res.point.spectrum.tobytes() == exp_map(p, 0.25 * v).spectrum.tobytes()
 
     def test_no_hand_over_at_extreme_magnitudes(self):
-        # Only the spread decides: eigenvalues and coefficients beyond 1e+-100
-        # stay spectral, and a spread below 1e-13 hands over at any magnitude.
+        # Only the spread decides whether a trial is formed: eigenvalues and
+        # coefficients beyond 1e+-100, and spreads near the rounding floor at
+        # any magnitude, step on the frame.
         still = SpectralTangent(np.zeros(2))
-        for values in ([1e101, 2e101], [1e-101, 2e-101]):
-            assert not needs_dense(Line(SpdPoint.from_frame(np.array(values), np.eye(2)), still), np.ones(1))
-        narrow = SpdPoint.from_frame(np.array([1e187, 1e201]), np.eye(2))
-        assert needs_dense(Line(narrow, still), np.ones(1))
+        for values in ([1e101, 2e101], [1e-101, 2e-101], [1e187, 1e201]):
+            p = SpdPoint.from_frame(np.array(values), np.eye(2))
+            assert np.array_equal(exp_map(p, still).spectrum, values)
         p = SpdPoint.from_frame(np.array([1.0, 2.0]), np.eye(2))
-        assert not needs_dense(Line(p, SpectralTangent(np.array([0.0, 1e101]))), np.array([2.0**-400]))
-        assert not needs_dense(Line(p, SpectralTangent(np.array([240.0, 480.0]))), np.ones(1))  # trial 1.7e104
-        assert not needs_dense(Line(p, SpectralTangent(np.array([200.0, 400.0]))), np.ones(1))
+        cases = [  # (coefficients, step, trial)
+            ([0.0, 1e101], 2.0**-400, [1.0, 2.0 * np.exp(2.0**-401 * 1e101)]),
+            ([240.0, 480.0], 1.0, [np.exp(240.0), 2.0 * np.exp(240.0)]),  # 1.7e104
+            ([200.0, 400.0], 1.0, [np.exp(200.0), 2.0 * np.exp(200.0)]),
+        ]
+        for coeffs, t, trial in cases:
+            assert np.array_equal(exp_map(p, SpectralTangent(np.array(coeffs)), t).spectrum, trial)
 
     def test_dense_and_spectral_forms_agree(self):
+        # The matrix formed from the frame, and the ascending factorization
+        # read off it, are those of basis diag(values) basis^T.
         rng = np.random.default_rng(16)
         basis, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        p = SpdPoint.from_frame(np.array([3.0, 1.0, 2.0, 5.0, 4.0]), basis)
-        dense = p._dense()
-        assert dense.frame is None and dense.eigen is p.eigen
-        assert np.array_equal(dense.eigen.values, np.arange(1.0, 6.0))
-        assert np.allclose(dense.matrix, p.matrix, rtol=0, atol=1e-13)
-        # A view made once the matrix is formed shares it.
-        again = p._dense()
-        assert again.eigen is dense.eigen and again.matrix is p.matrix
-
-
-def _counting_exp(monkeypatch):
-    """A list that grows by one for every np.exp call from now on."""
-    calls = []
-    exp = np.exp
-
-    def counted(x, *args, **kwargs):
-        calls.append(np.shape(x))
-        return exp(x, *args, **kwargs)
-
-    monkeypatch.setattr(np, "exp", counted)
-    return calls
-
-
-def _fresh(p, v):
-    """exp_map(p, v) with the trial formed again: a tangent of the same
-    coefficients that shares nothing."""
-    return exp_map(p, SpectralTangent(v.coeffs))
-
-
-class TestSharedTrial:
-    """needs_dense keeps the first finite trial it forms on the line; exp_map
-    returns it only for that step of that line."""
-
-    def _setup(self):
-        p = random_spd(6, 1.0, 10.0, seed=21)
-        v = SpectralTangent(np.random.default_rng(21).uniform(-2.0, 2.0, 6))
-        return p, v, Line(p, v)
-
-    def test_reused_at_the_same_point_and_step(self, monkeypatch):
-        p, v, line = self._setup()
-        assert not needs_dense(line, np.array([1.0, 0.5]))
-        calls = _counting_exp(monkeypatch)
-        step = exp_map(p, line, 1.0)
-        again = exp_map(p, line)
-        assert calls == []
-        want = _fresh(p, v)
-        assert np.array_equal(step.spectrum, want.spectrum) and np.array_equal(again.spectrum, want.spectrum)
-        assert step.frame[1] is p.frame[1]
-
-    def test_others_form_their_own(self, monkeypatch):
-        p, v, line = self._setup()
-        assert not needs_dense(line, np.array([1.0, 0.5]))
-        twin = SpdPoint.from_frame(p.spectrum, p.frame[1])
-        others = [  # (point, line or tangent, step, the plain tangent it takes)
-            (twin, Line(twin, v), 1.0, v),  # another point, though equal, on a line of its own
-            (p, line, 0.5, 0.5 * v),  # another step
-            (p, SpectralTangent(v.coeffs), 1.0, v),  # an unrelated tangent, the same coefficients
-            (p, Line(p, v), 1.0, v),  # another line along the same tangent
-        ]
-        calls = _counting_exp(monkeypatch)
-        for point, along, t, plain in others:
-            got = exp_map(point, along, t)
-            assert np.array_equal(got.spectrum, _fresh(point, plain).spectrum)
-        assert len(calls) == 2 * len(others)  # each formed its own, as _fresh did
-
-    def test_overflowing_larger_steps_still_raise(self, monkeypatch):
-        # The full and the half step overflow, in exact arithmetic too:
-        # 1e-90 e^2000 and 1e-90 e^1000 exceed the float maximum.  The
-        # quarter step 1e-90 e^500 = 1.4e127 can be formed, with the spread
-        # 1/2 of the start.
-        values = np.array([1e-90, 2e-90])
-        p = SpdPoint.from_frame(values, np.eye(2))
-        v = SpectralTangent(2000.0 * values)
-        line = Line(p, v)
-        assert not needs_dense(line, np.array([1.0, 0.5, 0.25]))
-        calls = _counting_exp(monkeypatch)
-        for t in (1.0, 0.5):
-            with pytest.raises(StepOverflow):
-                exp_map(p, line, t)
-        assert len(calls) == 4  # each formed e^{t c / lambda}, then e^{log lambda + t c / lambda}
-        quarter = exp_map(p, line, 0.25)
-        assert len(calls) == 4
-        assert np.array_equal(quarter.spectrum, _fresh(p, 0.25 * v).spectrum)
-
-    def test_no_trial_is_kept_where_the_iteration_hands_over(self, monkeypatch):
-        p = SpdPoint.from_frame(np.ones(2), np.eye(2))
-        line = Line(p, SpectralTangent(np.array([0.0, np.log(1e-15)])))
-        assert needs_dense(line, np.array([1.0]))
-        calls = _counting_exp(monkeypatch)
-        exp_map(p, line)
-        assert len(calls) == 1
-
-    def test_checked_trial_is_not_checked_again_as_the_next_iterate(self, monkeypatch):
-        # needs_dense reads one spread per trial it forms and none for the
-        # iterate, whether that iterate is a kept trial, a point formed
-        # afresh, or one whose own spread lies below the hand-over spread.
-        p, v, line = self._setup()
-        assert not needs_dense(line, np.ones(1))
-        kept, fresh = exp_map(p, line), _fresh(p, v)
-        low = SpdPoint.from_frame(np.array([1e-15, 1.0]), np.eye(2))
-        cases = [  # (line, steps, trials formed)
-            (Line(kept, SpectralTangent(np.zeros(6))), np.ones(1), 1),
-            (Line(fresh, SpectralTangent(np.zeros(6))), np.ones(1), 1),
-            # The full step [1e-3, 1] is inside the bounds, though the iterate is not.
-            (Line(low, SpectralTangent(np.array([1e-15 * np.log(1e12), 0.0]))), np.ones(1), 1),
-            # The full step [1, 1e-20] is below the rounding floor; the half
-            # step [1, 1e-10] decides.
-            (Line(SpdPoint.from_frame(np.ones(2), np.eye(2)), SpectralTangent(np.array([0.0, np.log(1e-20)]))),
-             np.array([1.0, 0.5]), 2),
-        ]
-        spreads = []
-        check = manifold._spread
-        monkeypatch.setattr(manifold, "_spread", lambda x: spreads.append(x) or check(x))
-        for along, steps, formed in cases:
-            spreads.clear()
-            assert not needs_dense(along, steps)
-            assert len(spreads) == formed and all(x is not along.point.spectrum for x in spreads)
-
-
-def test_line_steps_at_another_point_raise():
-    # A line belongs to the point it was made at.  An equal point held in
-    # another object is another point: stepping there raises instead of
-    # reading the trial or the factorization the line keeps.
-    p, twin = (random_spd(3, 1.0, 3.0, seed=9) for _ in range(2))
-    dense = Line(p._dense(), random_symmetric(np.random.default_rng(9), 3))
-    exp_map(dense.point, dense, 0.5)
-    spectral = Line(p, SpectralTangent(np.ones(3)))
-    assert not needs_dense(spectral, np.ones(1))
-    for line, at in ((dense, twin._dense()), (spectral, twin)):
-        for t in (1.0, 0.5):
-            with pytest.raises(DimMismatch):
-                exp_map(at, line, t)
-
-
-_TRIAL_STEPS = np.ldexp(1.0, -np.arange(61))
-
-
-def _needs_dense_by_scan(p, v, steps):
-    """The hand-over rule applied to every trial step at once: the reference
-    for needs_dense, which forms the trials largest step first and stops at
-    the first representable one.  Each row is formed as exp_map forms it:
-    lambda e^{t c / lambda}, and where that spread lies below the 1e-17
-    rounding floor, e^{log lambda + t c / lambda} for each entry whose factor
-    left the normal range.  A trial still below the floor is rejected by
-    exp_map and hands nothing over; the first that is not decides, and hands
-    over below the 1e-13 spread."""
-    values = p.spectrum
-    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-        x = np.multiply.outer(steps, v.coeffs) / values
-        e = np.exp(x)
-        trials = values * e
-        below = ~(trials.min(axis=1) / trials.max(axis=1) >= 1e-17)
-        off = below[:, None] & ((e < np.finfo(float).tiny) | (e == np.inf))
-        trials = np.where(off, np.exp(np.log(values) + x), trials)
-        spreads = trials.min(axis=1) / trials.max(axis=1)
-    representable = np.flatnonzero(spreads >= 1e-17)
-    return bool(representable.size) and bool(spreads[representable[0]] < 1e-13)
-
-
-@st.composite
-def _iterates_and_directions(draw):
-    """A spectrum in 10^[-110, 110] of at most six values spread over at most
-    fourteen decades, and coefficients whose whitened values c / lambda range
-    from 1e-20 to 1e22 in magnitude, so that some trials overflow."""
-    n = draw(st.integers(1, 6))
-    floats = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=n, max_size=n)
-    centre, width = draw(st.floats(-110.0, 110.0)), draw(st.floats(0.0, 14.0))
-    values = 10.0 ** np.clip(centre + width * np.array(draw(floats(0.0, 1.0))), -110.0, 110.0)
-    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
-    return values, values * signs * 10.0 ** np.array(draw(floats(-20.0, 22.0)))
-
-
-def _bits_to_float(bits):
-    return float(np.int64(bits).view(np.float64))
-
-
-@given(_iterates_and_directions(), st.booleans())
-@settings(deadline=None, max_examples=300)
-def test_needs_dense_agrees_with_the_scan_of_every_trial(case, aim):
-    values, coeffs = case
-    p = SpdPoint.from_frame(values, np.eye(values.size))
-    scan = lambda scale: _needs_dense_by_scan(p, SpectralTangent(scale * coeffs), _TRIAL_STEPS)
-    scales = [1.0]
-    if aim and scan(1.0) and not scan(0.0):
-        # Bisect the direction's length over the bit patterns of [0, 1] down to
-        # two adjacent floats on which the scan's answer flips: there the
-        # deciding trial sits within rounding of its bound.
-        lo, hi = 0, int(np.float64(1.0).view(np.int64))
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if scan(_bits_to_float(mid)) else (mid, hi)
-        scales += [_bits_to_float(lo), _bits_to_float(hi)]
-    for scale in scales:
-        got, want = needs_dense(Line(p, SpectralTangent(scale * coeffs)), _TRIAL_STEPS), scan(scale)
-        assert got == want, (values, scale * coeffs)
+        values = np.array([3.0, 1.0, 2.0, 5.0, 4.0])
+        p = SpdPoint.from_frame(values, basis)
+        assert np.array_equal(p.eigen.values, np.arange(1.0, 6.0))
+        assert np.array_equal(p.eigen.vectors, basis[:, np.argsort(values)])
+        assert np.allclose(p.matrix, (basis * values) @ basis.T, rtol=0, atol=1e-13)
+        assert np.allclose(SpdPoint(p.matrix).spectrum, np.arange(1.0, 6.0), rtol=1e-13)
 
 
 _HOSTILE_ENTRIES = st.one_of(
@@ -848,8 +566,8 @@ def test_certificates_decide_as_the_scans_they_replace(entries):
             spectral_finite = True
         except SpectrumDomainError:
             spectral_finite = False
-        # A trial, never negative, at or above the hand-over spread is finite.
-        assert not manifold._spread(np.abs(x)) >= 1e-13 or finite
+        # A trial, never negative, at or above the rounding floor is finite.
+        assert not manifold._spread(np.abs(x)) >= 1e-17 or finite
     assert spectral_finite == finite
 
 
@@ -913,7 +631,7 @@ class TestLazyStart:
     def test_matches_the_eager_recipe(self, dim, seed):
         lam, q, m = _eager_random_spd(dim, 1.0, 10.0, seed)
         p = random_spd(dim, 1.0, 10.0, seed=seed)
-        assert p.spectral and p.spectrum is p.eigen.values
+        assert p.spectrum is p.eigen.values
         assert np.array_equal(p.spectrum, lam)
         assert np.array_equal(p.matrix, m)
         assert np.array_equal(p.eigen.values, lam) and np.array_equal(p.eigen.vectors, q)
@@ -929,9 +647,8 @@ class TestLazyStart:
         monkeypatch.setattr(np.linalg, "qr", lambda a: (drawn.append(a.shape), qr(a))[1])
         p = random_spd(50, 1.0, 10.0, seed=8)
         step = exp_map(p, SpectralTangent(-0.1 * p.spectrum))
-        assert p.spectral and step.spectral and p.dim == step.dim == 50 and drawn == []
+        assert p.dim == step.dim == 50 and drawn == []
         assert step.frame[1] is p.frame[1] and drawn == [(50, 50)]
-        assert p._dense().eigen is p.eigen and drawn == [(50, 50)]
 
     def test_lazy_factorization_draws_only_for_its_vectors(self, monkeypatch):
         drawn = []
@@ -939,7 +656,7 @@ class TestLazyStart:
         monkeypatch.setattr(np.linalg, "qr", lambda a: (drawn.append(a.shape), qr(a))[1])
         p = random_spd(50, 1.0, 10.0, seed=8)
         assert p.eigen.dim == 50 and np.array_equal(p.eigen.values, p.spectrum)
-        assert p._dense().eigen is p.eigen and drawn == []
+        assert p.eigen is p.eigen and drawn == []
         vectors = p.eigen.vectors
         assert drawn == [(50, 50)]
         assert p.eigen.vectors is vectors and p.frame[1] is vectors
@@ -973,29 +690,12 @@ class TestLazyStart:
         expected = _eager_random_spd(200, 1.0, 10.0, 4)[2]
         assert all(np.array_equal(m, expected) for m in seen)
 
-    def test_dense_view_shares_the_arrays_of_its_point(self):
-        p = SpdPoint(random_spd(5, 1.0, 10.0, seed=2).matrix)
-        back = p._dense()
-        assert back.frame is None and not back.spectral
-        assert back.matrix is p.matrix and back.eigen is p.eigen
-        start = random_spd(5, 1.0, 10.0, seed=2)
-        back = start._dense()
-        assert back.eigen is start.eigen and np.array_equal(back.matrix, start.matrix)
-        # A start's frame is its own factorization, not one rebuilt from the
-        # frame: the basis copy that rebuild makes holds the same values in
-        # another memory layout, and the dense route's products then round
-        # differently (f2 0.01 n=100 damped seed 48453, start range 1,10, on
-        # one OpenBLAS thread: GE 18 instead of 19).
-        fresh = random_spd(5, 1.0, 10.0, seed=2)
-        assert fresh._dense().eigen is fresh.eigen and fresh.frame[1] is fresh.eigen.vectors
-
     def test_matrix_is_formed_from_the_ascending_factorization(self):
-        # A spectral step can reorder the frame; its matrix is still the one
-        # its frameless view holds, so reading it first changes nothing.
+        # A spectral step can reorder the frame; its matrix is still formed
+        # from the ascending factorization, so the frame order moves no bit.
         basis = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))[0]
         values = np.array([3.0, 1.0, 2.0, 6.0, 5.0, 4.0])
-        read_first = SpdPoint.from_frame(values, basis)
-        formed = read_first.matrix
-        dense = SpdPoint.from_frame(values, basis)._dense()
-        assert np.array_equal(formed, dense.matrix)
-        assert read_first._dense().matrix is formed
+        formed = SpdPoint.from_frame(values, basis).matrix
+        order = np.argsort(values)
+        assert np.array_equal(formed, SpdPoint.from_frame(values[order], basis[:, order]).matrix)
+        assert np.array_equal(formed, manifold.EigenPair(values[order], basis[:, order]).reconstruct())

@@ -9,7 +9,7 @@ from rdn.bench import table1_grid
 from rdn.errors import DimMismatch, InvalidMatrix, InvalidPoint, SingularOperator, StationaryOfMerit
 from rdn.linalg import symmetrize
 from rdn.manifold import SpdPoint, SpectralTangent, exp_map, inner, norm, random_spd
-from rdn.objectives import Family, GradientField, Objective, minimizer, newton_solve
+from rdn.objectives import Family, GradientField, Objective, minimizer
 from rdn.solver import (
     ArmijoResult,
     DirectionKind,
@@ -198,26 +198,6 @@ class TestArmijo:
         assert not res.accepted and res.point is None
         assert (res.backtracks, res.evaluations) == (60, 0)
 
-    def test_dense_line_search_factors_its_direction_once(self, monkeypatch):
-        # One eigh of the whitened direction for the whole line search, one
-        # for each trial point made; backtracked trials scale the first.
-        problem = f1_problem()
-        p = SpdPoint(random_spd(6, 9.0, 10.0, seed=1).matrix)
-        v = newton_solve(problem.objective, p)
-        assert isinstance(v, np.ndarray)
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(a, *args, **kwargs):
-            calls.append(a.shape)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        res = armijo_stepsize(problem, p, v, sigma=1e-4)
-        monkeypatch.undo()
-        assert res.accepted and res.backtracks >= 3
-        assert len(calls) <= 1 + res.evaluations, (len(calls), res.backtracks, res.evaluations)
-
     def test_returns_accepted_point_and_merit(self):
         problem = f1_problem()
         p = SpdPoint(np.array([[10.0]]))
@@ -279,6 +259,19 @@ class TestSolve:
         with pytest.raises(error):
             solve(Malformed(np.eye(2)), random_spd(2, 1.0, 2.0, seed=0))
 
+    @pytest.mark.parametrize("method", [Method.DAMPED, Method.FULL])
+    @pytest.mark.parametrize("wrong", ["field_value", "newton_solve"])
+    def test_a_spectral_tangent_of_the_wrong_length_is_an_error_not_a_status(self, wrong, method):
+        # As for a matrix of the wrong shape: norm checks the field's
+        # length, and exp_map the direction's.
+        class Short(GradientField):
+            pass
+
+        short = lambda self, p: SpectralTangent(np.ones(p.dim - 1))
+        setattr(Short, wrong, short)
+        with pytest.raises(DimMismatch):
+            solve(Short(Objective(Family.F1, 1.0, 0.1)), random_spd(3, 9.0, 10.0, seed=0), SolverConfig(method=method))
+
     def test_max_iters_status(self):
         obj = Objective(Family.F1, 1.0, 0.1)
         _, trace = solve(
@@ -323,8 +316,8 @@ class TestSolve:
         # The benchmark's tracer counts a trial as an exp_map call made in the
         # line search, and an unevaluated trial as such a call, or the merit
         # evaluation after it, that raises.  That holds while each trial is
-        # one exp_map call and a hand-over's trials are formed by needs_dense
-        # alone, which these runs (many hand over or overflow) check.
+        # one exp_map call, which these runs (many backtrack past trials that
+        # overflow or round outside the cone) check.
         calls, raises = {}, {}
 
         def counting(name, fn):
@@ -369,7 +362,7 @@ class TestSolve:
         assert trace.he == trace.nit == trace.ge
 
     def test_spectral_full_step_forms_its_trial_once(self, monkeypatch):
-        # The hand-over check forms the trial exp_P(v); the step returns it.
+        # The full step forms its one trial exp_P(v) once.
         problem = GradientField(Objective(Family.F1, 1.0, 0.1))
         p0 = random_spd(30, 9.0, 10.0, seed=4)
         calls = []

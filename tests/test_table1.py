@@ -7,39 +7,19 @@ the cross-route comparison in ``test_backends.py``.
 """
 
 import dataclasses
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import rdn
-from rdn.bench import run_experiment, table1_grid
+from rdn.bench import ExperimentSpec, run_experiment, table1_grid
 from rdn.manifold import SpdPoint, random_spd
 from rdn.objectives import Family, GradientField
-from rdn.solver import solve
+from rdn.solver import Method, solve
 
-_TABLE = """
-import json
-from rdn.bench import run_experiment, table1_grid
-
-rows = []
-for init_range in ((9.0, 10.0), (1.0, 10.0)):
-    for spec in table1_grid(42, init_eig_range=init_range):
-        r = run_experiment(spec)
-        label = "%g,%g" % init_range
-        head = [spec.family.value, spec.ratio, spec.dim, spec.method.value, label]
-        rows.append(head + [r.status, r.nit, r.he, r.ge, [x.alpha for x in r.trace.records]])
-print(json.dumps(rows))
-"""
+from exact_reference import exact_run
 
 # family, ratio, dim, method, start range, status, NIT, HE, GE: every cell of
-# the table at both start ranges.  No n = 1000 row hands over to the dense
-# route; test_backends.py::test_affine_images_keep_the_counters guards its
-# line search.
+# the table at both start ranges.
 PINNED = [
     ["f1", 0.1, 1, "full", "9,10", "converged", 97, 97, 97],
     ["f1", 0.1, 1, "damped", "9,10", "converged", 6, 6, 18],
@@ -116,49 +96,32 @@ PINNED = [
 ]
 
 
-def _on_one_thread(script):
-    """The JSON that ``script`` prints, run in a one-thread interpreter: the
-    dense route's rounding near the floor depends on the BLAS thread count."""
-    src = str(Path(rdn.__file__).resolve().parents[1])
-    env = dict(
-        os.environ,
-        OPENBLAS_NUM_THREADS="1",
-        OMP_NUM_THREADS="1",
-        MKL_NUM_THREADS="1",
-        PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))),
-    )
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
 @pytest.fixture(scope="module")
 def table():
-    return _on_one_thread(_TABLE)
-
-
-_HAND_OVER_CELLS = """
-import json
-from rdn.bench import ExperimentSpec, run_experiment
-from rdn.objectives import Family
-from rdn.solver import Method
-
-rows = []
-for ratio, seed in ((0.002, 48483), (0.01, 48597), (0.01, 48633)):
-    r = run_experiment(ExperimentSpec(Family.F2, ratio, 100, Method.DAMPED, seed, init_eig_range=(1.0, 10.0)))
-    rows.append([ratio, seed, r.status, r.nit, r.he, r.ge])
-print(json.dumps(rows))
-"""
+    rows = []
+    for init_range in ((9.0, 10.0), (1.0, 10.0)):
+        for spec in table1_grid(42, init_eig_range=init_range):
+            r = run_experiment(spec)
+            head = [spec.family.value, spec.ratio, spec.dim, spec.method.value, "%g,%g" % init_range]
+            rows.append(head + [r.status, r.nit, r.he, r.ge, [x.alpha for x in r.trace.records]])
+    return rows
 
 
 def test_hand_over_cells_whose_counters_react_to_rounding():
-    # f2 n = 100 damped cells from 1,10 starts that hand over near the
-    # rounding floor: forming a dense trial with one product in place of
-    # three, (P^{1/2} Q) diag(e^{t w}) (P^{1/2} Q)^T, gives GE 21, 19 and 19.
-    assert _on_one_thread(_HAND_OVER_CELLS) == [
-        [0.002, 48483, "converged", 7, 7, 20],
-        [0.01, 48597, "converged", 7, 7, 18],
-        [0.01, 48633, "converged", 7, 7, 18],
+    # f2 n = 100 damped cells from 1,10 starts whose first trial that can be
+    # formed has a spread near the rounding floor, where a dense step's
+    # rounding moved their GE (20, 18 and 18); the spectral route keeps
+    # exact arithmetic's counters.
+    rows = []
+    for ratio, seed in ((0.002, 48483), (0.01, 48597), (0.01, 48633)):
+        spec = ExperimentSpec(Family.F2, ratio, 100, Method.DAMPED, seed, init_eig_range=(1.0, 10.0))
+        r = run_experiment(spec)
+        assert (r.status, r.nit, r.ge, [x.backtracks for x in r.trace.records]) == exact_run(spec), seed
+        rows.append([ratio, seed, r.status, r.nit, r.he, r.ge])
+    assert rows == [
+        [0.002, 48483, "converged", 7, 7, 21],
+        [0.01, 48597, "converged", 7, 7, 19],
+        [0.01, 48633, "converged", 7, 7, 19],
     ]
 
 
@@ -228,8 +191,8 @@ def test_scaling_the_start_keeps_the_counters(seed, init_range):
 @pytest.mark.parametrize("seed", (42, 3))
 def test_rotating_the_start_keeps_the_counters(seed, init_range):
     # Both fields are spectral functions of P, so P0 -> U P0 U^T with U
-    # orthogonal conjugates every iterate alike; the spectral route never
-    # reads the basis, and the runs that hand over must agree as well.
+    # orthogonal conjugates every iterate alike, and the spectral route
+    # never reads the basis.
     failures = []
     for spec in table1_grid(seed, max_dim=100, init_eig_range=init_range):
         want = run_experiment(spec)
