@@ -163,14 +163,11 @@ class SpdPoint:
         return self
 
     @classmethod
-    def _from_spectrum(
-        cls, values: np.ndarray, eigen: EigenPair | None, basis: EigenPair, *, checked: bool = False
-    ) -> "SpdPoint":
+    def _from_spectrum(cls, values: np.ndarray, eigen: EigenPair | None, basis: EigenPair) -> "SpdPoint":
         """A point on the frame (``values``, the vectors of ``basis``), with the
         (possibly lazy) ascending factorization ``eigen`` if known; its matrix
-        unformed.  ``checked`` vouches that ``values`` are finite and strictly positive."""
-        if not (checked or (np.isfinite(values).all() and values.min() > 0.0)):
-            raise InvalidPoint("spectrum is not finite and strictly positive")
+        unformed.  The caller vouches that ``values`` are finite and strictly
+        positive."""
         return object.__new__(cls)._set(eigen, values, basis)
 
     @classmethod
@@ -187,6 +184,8 @@ class SpdPoint:
             raise InvalidPoint("basis has non-finite entries")
         if np.abs(basis.T @ basis - np.eye(n)).max() > _FRAME_TOLERANCE * n * _EPS:
             raise InvalidPoint("basis is not orthonormal")
+        if not (np.isfinite(values).all() and values.min() > 0.0):
+            raise InvalidPoint("spectrum is not finite and strictly positive")
         return cls._from_spectrum(values, None, EigenPair(values=values, vectors=basis))
 
     @property
@@ -268,32 +267,13 @@ class SpectralTangent:
     __rmul__ = __mul__
 
 
-def _frame_values(p: SpdPoint, v: SpectralTangent) -> np.ndarray:
-    """The eigenvalues of ``p`` in frame order, once ``v`` is checked to have
-    one coefficient for each."""
+def _whitened(p: SpdPoint, v: SpectralTangent) -> np.ndarray:
+    """c / lambda, the eigenvalues of P^{-1/2} V P^{-1/2} in frame order, once
+    ``v`` is checked to have one coefficient for each eigenvalue of ``p``."""
     values = p._values
     if v.coeffs.shape != values.shape:
         raise DimMismatch(f"tangent has {v.coeffs.shape[0]} coefficients, point dimension {p.dim}")
-    return values
-
-
-def _spectral_trial(values: np.ndarray, coeffs: np.ndarray, t: float) -> tuple[np.ndarray, np.float64]:
-    """lambda e^{t c / lambda}, exp_P(t V) in the frame, and its spread, for
-    every spectral step and trial.  A trial whose spread is below the rounding
-    floor forms again, as e^{log lambda + t c / lambda}, each entry whose
-    factor e^{t c / lambda} overflowed or fell below the normal range, where
-    the product itself may fit; no other trial changes by a bit.  A subnormal
-    factor in a trial that passes the spread test keeps its lost bits."""
-    x = (coeffs if t == 1.0 else t * coeffs) / values
-    e = np.exp(x)
-    trial = values * e
-    spread = _spread(trial)
-    if not spread >= _ROUNDING_FLOOR:
-        off = (e < _TINY) | (e == math.inf)
-        if off.any():
-            trial = np.where(off, np.exp(np.log(values) + x), trial)
-            spread = _spread(trial)
-    return trial, spread
+    return v.coeffs / values
 
 
 def _tangent_at(p: SpdPoint, v: np.ndarray) -> np.ndarray:
@@ -312,8 +292,7 @@ def inner(p: SpdPoint, u: np.ndarray, v: np.ndarray) -> float:
     (DimMismatch otherwise)."""
     spectral = isinstance(u, SpectralTangent), isinstance(v, SpectralTangent)
     if all(spectral):
-        values = _frame_values(p, u)
-        return float(np.sum((u.coeffs / values) * (v.coeffs / _frame_values(p, v))))
+        return float(np.sum(_whitened(p, u) * _whitened(p, v)))
     if any(spectral):
         raise DimMismatch("inner product of a spectral tangent and a matrix")
     u = _tangent_at(p, u)
@@ -342,7 +321,7 @@ def norm(p: SpdPoint, v: np.ndarray) -> float:
 
     Finite wherever the whitened V is, up to the float range itself."""
     if isinstance(v, SpectralTangent):
-        w = v.coeffs / _frame_values(p, v)
+        w = _whitened(p, v)
         r = math.sqrt(w.dot(w))
         return r if _SQUARES_NORMAL <= r < math.inf else _frobenius(w)
     v = _tangent_at(p, v)
@@ -356,13 +335,13 @@ _EXP_SERIES_CUTOFF = 1e-6
 
 
 @quiet
-def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent, t: float = 1.0) -> SpdPoint:
-    """Geodesic step exp_P(t V) = P^{1/2} e^{P^{-1/2} t V P^{-1/2}} P^{1/2}.
+def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent) -> SpdPoint:
+    """Geodesic step exp_P(V) = P^{1/2} e^{P^{-1/2} V P^{-1/2}} P^{1/2}.
 
     Defined for every symmetric V; the result is positive definite without
     any projection.  Steps whose exponential overflows the floating-point
     range, or whose result rounds outside the representable cone, raise
-    StepOverflow.  ``exp_map(p, v, t)`` is bit for bit ``exp_map(p, t * v)``.
+    StepOverflow.
 
     Conjugating P^{1/2} through the series of e^M collapses it to
     P + V + V P^{-1} V / 2 + O(||M||^3), so for whitened steps below the
@@ -377,11 +356,22 @@ def exp_map(p: SpdPoint, v: np.ndarray | SpectralTangent, t: float = 1.0) -> Spd
     matrix form and also raises StepOverflow.
     """
     if isinstance(v, SpectralTangent):
-        values, spread = _spectral_trial(_frame_values(p, v), v.coeffs, t)
-        if not spread >= _ROUNDING_FLOOR:
-            raise StepOverflow("exponential-map result overflowed or rounded outside the cone")
-        return SpdPoint._from_spectrum(values, None, p._basis, checked=True)
-    step = _tangent_at(p, v if t == 1.0 else t * np.asarray(v, dtype=float))
+        # lambda e^{c / lambda}.  A trial whose spread is below the rounding
+        # floor forms again, as e^{log lambda + c / lambda}, each entry whose
+        # factor e^{c / lambda} overflowed or fell below the normal range,
+        # where the product itself may fit; no other trial changes by a bit.
+        # A subnormal factor in a trial that passes the spread test keeps its
+        # lost bits.
+        x, values = _whitened(p, v), p._values
+        e = np.exp(x)
+        trial = values * e
+        if not _spread(trial) >= _ROUNDING_FLOOR:
+            off = (e < _TINY) | (e == math.inf)
+            trial = np.where(off, np.exp(np.log(values) + x), trial)
+            if not _spread(trial) >= _ROUNDING_FLOOR:
+                raise StepOverflow("exponential-map result overflowed or rounded outside the cone")
+        return SpdPoint._from_spectrum(trial, None, p._basis)
+    step = _tangent_at(p, v)
     # ||V||_F / lambda_min bounds the whitened step's norm.
     if _frobenius(step) / float(p.eigen.values[0]) <= _EXP_SERIES_CUTOFF:
         out = symmetrize(p.matrix + step + 0.5 * (step @ p.inv() @ step))

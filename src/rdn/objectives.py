@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import REAL, DimMismatch, SpectrumDomainError, require
+from .errors import REAL, DimMismatch, InvalidPoint, SpectrumDomainError, require
 from .linalg import lyapunov_solve, mat_func, quiet, symmetrize
 from .manifold import SpdPoint, SpectralTangent, identity_eigen
 
@@ -188,6 +188,8 @@ def minimizer(obj: Objective, dim: int) -> SpdPoint:
     if dim < 1:
         raise DimMismatch(f"a point needs dimension n >= 1, got {dim}")
     c = obj.b / obj.a if obj.family is Family.F1 else obj.a / obj.b
+    if not 0.0 < c < math.inf:
+        raise InvalidPoint("spectrum is not finite and strictly positive")
     pair = identity_eigen(np.full(dim, c))
     return SpdPoint._from_spectrum(pair.values, pair, pair)
 

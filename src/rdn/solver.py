@@ -31,7 +31,7 @@ Every point holds its frame, so the solver converts no iterate.  Problems
 whose field and Newton direction come back as SpectralTangents (the shipped
 GradientField) run the loop in O(n) per trial; others return matrices and
 take dense steps, each a point factored when it is made.  Every trial is
-one exp_map(p, v, t) call, and a trial that cannot be formed is
+one exp_map(p, t * v) call, and a trial that cannot be formed is
 backtracked past.
 """
 
@@ -106,7 +106,7 @@ class Problem(Protocol):
 
     def merit_value(self, p: SpdPoint) -> float: ...
 
-    def fallback_direction(self, p: SpdPoint) -> np.ndarray: ...
+    def fallback_direction(self, p: SpdPoint) -> np.ndarray | SpectralTangent: ...
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def direction(problem: Problem, p: SpdPoint) -> tuple[np.ndarray | SpectralTange
         return problem.newton_solve(p), DirectionKind.NEWTON
     except SingularOperator:
         v = problem.fallback_direction(p)
-        if not np.any(v):
+        if not np.any(v.coeffs if isinstance(v, SpectralTangent) else v):
             raise StationaryOfMerit(
                 "merit gradient vanishes at a point that is not a singularity"
             ) from None
@@ -225,7 +225,7 @@ def armijo_stepsize(
     gradient fallback v = -grad phi(P), so it is -<v, v>_P.  Trial points
     whose exponential overflows are rejected without a merit evaluation;
     ``evaluations`` counts the merit evaluations performed.  Each trial is
-    one exp_map(p, v, t) call.
+    one exp_map(p, t * v) call.
     """
     if merit is None:
         merit = problem.merit_value(p)
@@ -235,7 +235,7 @@ def armijo_stepsize(
     evaluations = 0
     for j, t in enumerate(_STEPS):
         try:
-            candidate = exp_map(p, v, t)
+            candidate = exp_map(p, t * v)
             trial = problem.merit_value(candidate)
         except _BREAKDOWN:
             continue

@@ -12,6 +12,7 @@ method can be run on the start's eigenvalues with no matrix at all:
 ``exact_iterations`` does so in ``decimal`` at 40 digits, from given float
 start eigenvalues and the float coefficients, sigma and tolerance taken
 exactly; ``exact_run`` starts it from a benchmark cell's seeded start.
+Both return the counters and every iterate's eigenvalues, exact.
 """
 
 from decimal import Context, Decimal, DivisionByZero, InvalidOperation, MAX_EMAX, MIN_EMIN, localcontext
@@ -35,16 +36,21 @@ def _representable(values):
     return high <= _DBL_MAX and low >= _ROUNDS_TO_ZERO and low / high >= _ROUNDING_FLOOR
 
 
-def exact_run(spec: ExperimentSpec) -> tuple[str, int, int, list[int]]:
-    """(status, NIT, GE, backtracks per iteration) of ``spec``'s run in exact
-    arithmetic, from the eigenvalues of its seeded float start."""
+def exact_run(spec: ExperimentSpec) -> tuple[str, int, int, list[int], list[list[Decimal]]]:
+    """(status, NIT, GE, backtracks per iteration, iterates) of ``spec``'s run
+    in exact arithmetic, from the eigenvalues of its seeded float start."""
     start = random_spd(spec.dim, *spec.init_eig_range, seed=spec.seed).spectrum
     return exact_iterations(spec.objective(), start, spec.config())
 
 
-def exact_iterations(obj: Objective, start, config: SolverConfig) -> tuple[str, int, int, list[int]]:
-    """(status, NIT, GE, backtracks per iteration) of the run of ``obj`` from
-    the float eigenvalues ``start`` under ``config``, in exact arithmetic.
+def exact_iterations(
+    obj: Objective, start, config: SolverConfig
+) -> tuple[str, int, int, list[int], list[list[Decimal]]]:
+    """(status, NIT, GE, backtracks per iteration, iterates) of the run of
+    ``obj`` from the float eigenvalues ``start`` under ``config``, in exact
+    arithmetic.  The iterates are the eigenvalues of the start and of every
+    committed step, in the start's order, as ``solve``'s ``on_iterate`` sees
+    them.
 
     The counters follow ``rdn.solver``: each committed iteration counts one
     gradient evaluation and each merit evaluation of a damped line search one
@@ -60,13 +66,13 @@ def exact_iterations(obj: Objective, start, config: SolverConfig) -> tuple[str, 
         lam = [Decimal(float(x)) for x in start]
         merit = lambda values: sum((a - b / x if f1 else a - b * x) ** 2 for x in values) / 2
         full = config.method is Method.FULL
-        ge, backtracks = 0, []
+        ge, backtracks, iterates = 0, [], [lam]
         while True:
             phi = merit(lam)
             if 2 * phi <= tol2:
-                return "converged", len(backtracks), ge, backtracks
+                return "converged", len(backtracks), ge, backtracks, iterates
             if len(backtracks) >= config.max_iters:
-                return "max_iters", len(backtracks), ge, backtracks
+                return "max_iters", len(backtracks), ge, backtracks, iterates
             w = [1 - a / b * x if f1 else a / b / x - 1 for x in lam]
             evaluations = 0
             for j in range(1 if full else 61):
@@ -80,7 +86,9 @@ def exact_iterations(obj: Objective, start, config: SolverConfig) -> tuple[str, 
                 if merit(trial) <= (1 - 2 * sigma * t) * phi:
                     break
             else:
-                return "step_overflow" if full else "line_search_failed", len(backtracks), ge, backtracks
+                status = "step_overflow" if full else "line_search_failed"
+                return status, len(backtracks), ge, backtracks, iterates
             ge += 1 + evaluations
             backtracks.append(j)
             lam = trial
+            iterates.append(lam)

@@ -23,8 +23,6 @@ from rdn.objectives import (
 )
 from rdn.solver import Method, SolverConfig, Status, solve
 
-from exact_reference import exact_run
-
 SEEDS = (42, 3)
 INIT_RANGES = ((9.0, 10.0), (1.0, 10.0))
 
@@ -154,22 +152,3 @@ def test_problems_returning_matrices_take_dense_steps_from_spectral_iterates():
     assert trace.status is Status.CONVERGED and len(iterates) == trace.nit + 1
     assert all(p.frame[1] is p.eigen.vectors for p in iterates)
     assert point is iterates[-1]
-
-
-def test_rounding_floor_cells_keep_their_counters_on_one_thread(monkeypatch):
-    # f2 0.01 n = 100 damped cells whose first trial that can be formed has
-    # a spread near the rounding floor.  Pinned literally, as
-    # perfbench/reference.json pins its cells, and at exact arithmetic's
-    # counters.  The runs call no factorization, and so no BLAS routine:
-    # their counters hold on one thread as on any other count.
-    factored = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: factored.append(a.shape) or eigh(a, *args))
-    for seed in (48453, 48921):
-        spec = ExperimentSpec(Family.F2, 0.01, 100, Method.DAMPED, seed=seed, init_eig_range=(1.0, 10.0))
-        p0 = random_spd(spec.dim, *spec.init_eig_range, seed=spec.seed)
-        _, t = solve(GradientField(spec.objective()), p0, spec.config())
-        got = (t.status.value, t.nit, t.he, t.ge, [r.backtracks for r in t.records])
-        assert got == ("converged", 7, 7, 19, [4, 2, 0, 0, 0, 0, 0]), seed
-        assert exact_run(spec) == ("converged", 7, 19, [4, 2, 0, 0, 0, 0, 0]), seed
-    assert factored == []

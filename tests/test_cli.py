@@ -206,7 +206,10 @@ def test_dim_is_bounded_by_physical_memory(monkeypatch, capsys):
 
 
 def test_overflowing_merit_gradient_is_a_status_row(tmp_path, capsys):
-    # b^2 overflows in the merit gradient once the run falls back to it.
+    # The field a lambda - b lambda^2 drops its lambda^2 term once that is
+    # subnormal: at lambda near 1e-163 it reads ||X|| = sqrt 3 while the
+    # merit of every trial reads about 1e75, so the line search fails at
+    # NIT 375, with no fallback direction called.
     out = tmp_path / "r.csv"
     code = main(["--family", "f2", "--ratio", "1e200", "--dim", "3", "--method", "damped", "--out", str(out)])
     assert code == 1

@@ -316,12 +316,15 @@ class TestExpMap:
 
     @pytest.mark.parametrize("t", [1.0, 0.5, 0.75, 2.0])
     def test_step_argument_is_the_scaled_tangent_bitwise(self, t):
+        # The step t along V is exp_map(p, t * V), as the line search forms
+        # each trial: a scaled SpectralTangent steps as the tangent of the
+        # scaled coefficients, to lambda e^{(t c) / lambda} bit for bit.
         rng = np.random.default_rng(11)
         p = random_spd(5, 0.5, 3.0, seed=11)
-        for v in (random_symmetric(rng, 5), 1e-8 * random_symmetric(rng, 5)):  # factored and series
-            assert exp_map(p, v, t).matrix.tobytes() == exp_map(p, t * v).matrix.tobytes()
-        v = SpectralTangent(rng.uniform(-2.0, 2.0, 5))
-        assert exp_map(p, v, t).spectrum.tobytes() == exp_map(p, t * v).spectrum.tobytes()
+        c = rng.uniform(-2.0, 2.0, 5)
+        got = exp_map(p, t * SpectralTangent(c)).spectrum.tobytes()
+        assert got == exp_map(p, SpectralTangent(t * c)).spectrum.tobytes()
+        assert got == (p.spectrum * np.exp((t * c) / p.spectrum)).tobytes()
 
 
 def test_error_state_is_the_callers_after_an_overflowing_step():
@@ -489,7 +492,7 @@ class TestSpectralSeam:
         for coeffs in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
             for t in (1.0, 0.5):
                 with pytest.raises(DimMismatch):
-                    exp_map(p, SpectralTangent(coeffs), t)
+                    exp_map(p, t * SpectralTangent(coeffs))
 
     @pytest.mark.parametrize(
         "value, coeff, want",
@@ -531,7 +534,7 @@ class TestSpectralSeam:
             ([200.0, 400.0], 1.0, [np.exp(200.0), 2.0 * np.exp(200.0)]),
         ]
         for coeffs, t, trial in cases:
-            assert np.array_equal(exp_map(p, SpectralTangent(np.array(coeffs)), t).spectrum, trial)
+            assert np.array_equal(exp_map(p, t * SpectralTangent(np.array(coeffs))).spectrum, trial)
 
     def test_dense_and_spectral_forms_agree(self):
         # The matrix formed from the frame, and the ascending factorization

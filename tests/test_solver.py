@@ -66,6 +66,13 @@ class FlatMeritField:
         return np.zeros((p.dim, p.dim))
 
 
+class FlatSpectralMerit(FlatMeritField):
+    """FlatMeritField whose vanishing merit gradient is a SpectralTangent."""
+
+    def fallback_direction(self, p):
+        return SpectralTangent(np.zeros(p.dim))
+
+
 class FourMethodField:
     """ConstantField with only the four methods of ``Problem``."""
 
@@ -290,6 +297,13 @@ class TestSolve:
 
     def test_stationary_of_merit_status(self):
         _, trace = solve(FlatMeritField(), SpdPoint(np.eye(3)), SolverConfig())
+        assert trace.status is Status.STATIONARY_OF_MERIT
+        assert trace.nit == 0
+
+    def test_a_zero_spectral_fallback_is_a_stationary_point(self):
+        # Every SpectralTangent object is truthy: its coefficients are what
+        # vanish.
+        _, trace = solve(FlatSpectralMerit(), random_spd(3, 1.0, 2.0, seed=0), SolverConfig())
         assert trace.status is Status.STATIONARY_OF_MERIT
         assert trace.nit == 0
 
