@@ -1,3 +1,4 @@
+import functools
 import math
 import threading
 import tracemalloc
@@ -23,7 +24,7 @@ from rdn.bench import (
 from rdn.errors import StepOverflow
 from rdn.manifold import SpdPoint, exp_map
 from rdn.objectives import Family, GradientField, Objective
-from rdn.solver import Method, Status, solve
+from rdn.solver import Method, SolverConfig, Status, solve
 
 
 def spec(**overrides):
@@ -293,6 +294,48 @@ def test_hostile_ratios_end_in_a_status(family, method, log_ratio, dim, seed, lo
     )
     assert result.status in {s.value for s in Status}
     assert result.nit == len(result.trace.records)
+
+
+def census_starts():
+    """(objective, start, k) of the 600 census runs: starts with eigenvalues
+    10^U(-k, k), k = 1..8, on a Gaussian QR basis, at ratios 10^U(-3, 3):
+    family f1 on odd i and f2 on even i, n in 1..10."""
+    rng = np.random.default_rng(7)
+    for i in range(600):
+        family = Family.F1 if i % 2 else Family.F2
+        ratio = 10.0 ** rng.uniform(-3.0, 3.0)
+        n = int(rng.integers(1, 11))
+        k = int(rng.integers(1, 9))
+        lam = 10.0 ** rng.uniform(-k, k, n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        yield Objective(family, 1.0, ratio), SpdPoint((q * lam) @ q.T), k
+
+
+CENSUS_CONFIG = SolverConfig(max_iters=2000)
+
+
+@functools.cache
+def census_runs():
+    """(objective, start, k, trace) of the census's 600 damped runs, made
+    once for this test and the exact-arithmetic agreement test."""
+    return tuple(
+        (obj, start, k, solve(GradientField(obj), start, CENSUS_CONFIG)[1])
+        for obj, start, k in census_starts()
+    )
+
+
+# Every run converges for k = 1..7, and all 78 at k = 8: 600 of the 600.
+_CENSUS_CONVERGED_AT_8 = 78
+
+
+def test_ill_conditioned_starts_converge():
+    runs, converged = Counter(), Counter()
+    for _, _, k, trace in census_runs():
+        assert isinstance(trace.status, Status)
+        runs[k] += 1
+        converged[k] += trace.status is Status.CONVERGED
+    assert all(converged[k] == runs[k] for k in range(1, 8)), (runs, converged)
+    assert converged[8] >= _CENSUS_CONVERGED_AT_8, converged
 
 
 # Intermediates overflow in these runs: the f1 Newton coefficient lambda -

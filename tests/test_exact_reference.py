@@ -17,6 +17,7 @@ from rdn.objectives import Family, GradientField, Objective
 from rdn.solver import Method, SolverConfig, solve
 
 from exact_reference import exact_iterations, exact_run
+from test_bench import CENSUS_CONFIG, census_runs
 
 
 class _Start(NamedTuple):
@@ -38,7 +39,7 @@ def _float_run(cell, iterates=None):
     eigenvalues are appended to ``iterates`` if given."""
     obj, start, config = _problem(cell)
     on_iterate = None if iterates is None else lambda k, p: iterates.append(p.spectrum)
-    return _counters(solve(GradientField(obj), start, config, on_iterate=on_iterate))
+    return _counters(solve(GradientField(obj), start, config, on_iterate=on_iterate)[1])
 
 
 @functools.cache
@@ -49,8 +50,7 @@ def _exact_counters(cell):
     return exact_iterations(obj, start.spectrum, config)[:4]
 
 
-def _counters(run):
-    _, trace = run
+def _counters(trace):
     return trace.status.value, trace.nit, trace.ge, [r.backtracks for r in trace.records]
 
 
@@ -86,31 +86,15 @@ def test_full_step_run_through_huge_iterates_agrees_with_exact_arithmetic():
     assert _float_run(spec) == want
 
 
-def census_starts():
-    """(objective, start) of the 600 census runs: starts with eigenvalues
-    10^U(-k, k), k = 1..8, on a Gaussian QR basis, at ratios 10^U(-3, 3):
-    family f1 on odd i and f2 on even i, n in 1..10."""
-    rng = np.random.default_rng(7)
-    for i in range(600):
-        family = Family.F1 if i % 2 else Family.F2
-        ratio = 10.0 ** rng.uniform(-3.0, 3.0)
-        n = int(rng.integers(1, 11))
-        k = int(rng.integers(1, 9))
-        lam = 10.0 ** rng.uniform(-k, k, n)
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        yield Objective(family, 1.0, ratio), SpdPoint((q * lam) @ q.T)
-
-
 def test_census_runs_agree_with_exact_arithmetic():
-    # Ill-conditioned starts, spreads down to 1e-16.  The exact loop starts
-    # from each start's float spectrum: all 600 runs converge in it, and
-    # every float run agrees.
-    config = SolverConfig(max_iters=2000)
+    # The ill-conditioned census (tests/test_bench.py): spreads down to
+    # 1e-16.  The exact loop starts from each start's float spectrum: all 600
+    # runs converge in it, and every float run agrees.
     disagree, exact_statuses = [], set()
-    for i, (obj, start) in enumerate(census_starts()):
-        want = exact_iterations(obj, start.spectrum, config)[:4]
+    for i, (obj, start, _, trace) in enumerate(census_runs()):
+        want = exact_iterations(obj, start.spectrum, CENSUS_CONFIG)[:4]
         exact_statuses.add(want[0])
-        if _counters(solve(GradientField(obj), start, config)) != want:
+        if _counters(trace) != want:
             disagree.append(i)
     assert not disagree, disagree
     assert exact_statuses == {"converged"}
