@@ -205,37 +205,33 @@ def test_dim_is_bounded_by_physical_memory(monkeypatch, capsys):
     assert "physical memory" in capsys.readouterr().err
 
 
+def _row_of_a_failed_run(tmp_path, *argv):
+    """The CSV row, as {column: value}, of the run of ``argv``, which exits 1."""
+    out = tmp_path / "r.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    header, row = out.read_text().splitlines()
+    return dict(zip(header.split(","), row.split(",")))
+
+
 def test_overflowing_merit_gradient_is_a_status_row(tmp_path, capsys):
     # The field a lambda - b lambda^2 drops its lambda^2 term once that is
     # subnormal, and the run ends in a failure status (a float-range gap of
     # tests/test_exact_reference.py), reported in the CSV and on stdout.
-    out = tmp_path / "r.csv"
-    code = main(["--family", "f2", "--ratio", "1e200", "--dim", "3", "--method", "damped", "--out", str(out)])
-    assert code == 1
-    header, row = out.read_text().splitlines()
-    status = row.split(",")[header.split(",").index("status")]
+    fields = _row_of_a_failed_run(tmp_path, "--family", "f2", "--ratio", "1e200", "--dim", "3", "--method", "damped")
     captured = capsys.readouterr()
-    assert status in captured.out and captured.err == ""
+    assert fields["status"] in captured.out and captured.err == ""
 
 
 def test_distance_from_a_subnormal_minimizer_is_finite(tmp_path):
     # lambda / c overflows for c = 1e-320; distance reads log lambda - log c.
-    out = tmp_path / "r.csv"
-    code = main(["--family", "f1", "--ratio", "1e-320", "--dim", "3", "--method", "damped", "--out", str(out), "--quiet"])
-    assert code == 1
-    header, row = out.read_text().splitlines()
-    fields = dict(zip(header.split(","), row.split(",")))
+    fields = _row_of_a_failed_run(tmp_path, "--family", "f1", "--ratio", "1e-320", "--dim", "3", "--method", "damped", "--quiet")
     assert float(fields["final_dist"]) == pytest.approx(1278.2162370378155, rel=1e-14)
 
 
 def test_f2_below_a_ratio_of_one_over_the_float_maximum_overflows_at_once(tmp_path):
     # a/b overflows to inf, so neither the first Newton direction nor the
     # minimizer can be formed; at ratio 5.6e-309 a/b is finite.
-    out = tmp_path / "r.csv"
-    code = main(["--family", "f2", "--ratio", "5.5e-309", "--dim", "2", "--method", "damped", "--out", str(out), "--quiet"])
-    assert code == 1
-    header, row = out.read_text().splitlines()
-    fields = dict(zip(header.split(","), row.split(",")))
+    fields = _row_of_a_failed_run(tmp_path, "--family", "f2", "--ratio", "5.5e-309", "--dim", "2", "--method", "damped", "--quiet")
     assert math.isnan(float(fields["final_dist"]))
 
 

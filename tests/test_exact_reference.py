@@ -17,7 +17,7 @@ from rdn.objectives import Family, GradientField, Objective
 from rdn.solver import Method, SolverConfig, solve
 
 from exact_reference import exact_iterations, exact_run
-from test_bench import CENSUS_CONFIG, census_runs
+from test_bench import NEAR_THE_FLOAT_RANGE_END, CENSUS_CONFIG, census_runs
 
 
 class _Start(NamedTuple):
@@ -27,17 +27,14 @@ class _Start(NamedTuple):
     start: SpdPoint
 
 
-def _problem(cell):
-    """(objective, start, config) of an ``ExperimentSpec`` or a ``_Start``."""
-    if isinstance(cell, _Start):
-        return cell.objective, cell.start, SolverConfig()
-    return cell.objective(), random_spd(cell.dim, *cell.init_eig_range, seed=cell.seed), cell.config()
-
-
 def _float_run(cell, iterates=None):
-    """(status, NIT, GE, backtracks) of ``cell``'s float run; each iterate's
-    eigenvalues are appended to ``iterates`` if given."""
-    obj, start, config = _problem(cell)
+    """(status, NIT, GE, backtracks) of the float run of ``cell``, an
+    ``ExperimentSpec`` or a ``_Start``; each iterate's eigenvalues are
+    appended to ``iterates`` if given."""
+    if isinstance(cell, _Start):
+        obj, start, config = cell.objective, cell.start, SolverConfig()
+    else:
+        obj, start, config = cell.objective(), random_spd(cell.dim, *cell.init_eig_range, seed=cell.seed), cell.config()
     on_iterate = None if iterates is None else lambda k, p: iterates.append(p.spectrum)
     return _counters(solve(GradientField(obj), start, config, on_iterate=on_iterate)[1])
 
@@ -46,8 +43,9 @@ def _float_run(cell, iterates=None):
 def _exact_counters(cell):
     """(status, NIT, GE, backtracks) of ``cell`` in exact arithmetic, made
     once for every test that judges the cell."""
-    obj, start, config = _problem(cell)
-    return exact_iterations(obj, start.spectrum, config)[:4]
+    if isinstance(cell, _Start):
+        return exact_iterations(cell.objective, cell.start.spectrum, SolverConfig())[:4]
+    return exact_run(cell)[:4]
 
 
 def _counters(trace):
@@ -91,7 +89,7 @@ def test_census_runs_agree_with_exact_arithmetic():
     # 1e-16.  The exact loop starts from each start's float spectrum: all 600
     # runs converge in it, and every float run agrees.
     disagree, exact_statuses = [], set()
-    for i, (obj, start, _, trace) in enumerate(census_runs()):
+    for i, (obj, start, trace) in enumerate(census_runs()):
         want = exact_iterations(obj, start.spectrum, CENSUS_CONFIG)[:4]
         exact_statuses.add(want[0])
         if _counters(trace) != want:
@@ -153,9 +151,20 @@ def test_float_range_gaps_are_known(cell, in_float, in_exact):
     assert _exact_counters(cell)[:3] == in_exact
 
 
+_GAP_CELLS = {cell for cell, _, _ in _FLOAT_RANGE_GAPS}
+
+
+def test_cells_near_the_float_range_end_agree_with_exact_arithmetic():
+    # The cells tests/test_bench.py runs for their warnings: each reads
+    # what exact arithmetic reads, unless it is a gap row.
+    cells = set(NEAR_THE_FLOAT_RANGE_END)
+    disagree = {cell for cell in cells if _float_run(cell) != _exact_counters(cell)}
+    assert disagree == cells & _GAP_CELLS
+
+
 # perfbench/reference.json holds the benchmark's seed-42 cells as family,
-# ratio, dim, method, seed, status, NIT, HE, GE; each workload starts its
-# cells from one range.
+# ratio, dim, method, seed, status, NIT, HE, GE.  Each workload starts its
+# cells from one range, which its plan in perfbench/workloads.py sets.
 _REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 _WORKLOAD_RANGES = {"table1-n100": (9.0, 10.0), "damped-n1000": (9.0, 10.0), "wide-start-threaded": (1.0, 10.0)}
 
@@ -166,20 +175,24 @@ def _reference_cells(workload):
     return {ExperimentSpec(*row[:5], init_eig_range=_WORKLOAD_RANGES[workload]): tuple(row[5:]) for row in rows}
 
 
-_GAP_CELLS = {cell for cell, _, _ in _FLOAT_RANGE_GAPS}
-
-
 def test_wide_start_cells_agree_with_exact_arithmetic(monkeypatch):
-    # The 768 cells of the wide-start workload (32 table1 grids to n = 100
-    # from 1,10 starts), every one but the float-range gaps among them.  The
-    # runs call no factorization, and so no BLAS routine: their counters
-    # hold on one thread as on any other count.
+    # The 768 cells of the benchmark's wide-start workload at seed 42, the
+    # ones reference.json records: 32 table1 grids to n = 100 from 1,10
+    # starts, grid k seeded 48384 + 36 k (48384 = 36 * 32 * 42).  Every one
+    # agrees but the float-range gaps among them.  The runs call no
+    # factorization, and so no BLAS routine: their counters hold on one
+    # thread as on any other count.
     factored = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: factored.append(a.shape) or eigh(a, *args))
-    cells = _reference_cells("wide-start-threaded")
+    cells = {
+        spec
+        for k in range(32)
+        for spec in table1_grid(48384 + 36 * k, max_dim=100, init_eig_range=(1.0, 10.0))
+    }
+    assert cells == set(_reference_cells("wide-start-threaded"))
     disagree = {spec for spec in cells if _float_run(spec) != _exact_counters(spec)}
-    gaps = _GAP_CELLS & set(cells)
+    gaps = _GAP_CELLS & cells
     assert (len(cells), len(gaps)) == (768, 3)
     assert disagree == gaps
     assert factored == []
